@@ -45,17 +45,14 @@ pub struct ParallelBenchConfig {
     pub visits_per_site: usize,
     /// Shard granularity for claiming and lazy materialisation.
     pub shard_size: usize,
-    /// Worker counts to sweep (deduplicated, in order).
+    /// Worker counts to sweep. [`run`] sorts and deduplicates them, so
+    /// the 1-worker baseline comes first and no count runs twice.
     pub instance_sweep: Vec<usize>,
 }
 
 /// Worker counts the sweep always probes, plus the machine's core count.
 fn sweep_with_max() -> Vec<usize> {
-    let cores = available_cores();
-    let mut sweep = vec![1usize, 2, 4, 8, cores];
-    sweep.sort_unstable();
-    sweep.dedup();
-    sweep
+    vec![1, 2, 4, 8, available_cores()]
 }
 
 /// The machine's available parallelism (1 if undetectable).
@@ -201,7 +198,9 @@ fn campaign_config(bench: &ParallelBenchConfig, instances: usize) -> CampaignCon
 }
 
 /// Runs the whole sweep.
-pub fn run(config: ParallelBenchConfig) -> ParallelBenchReport {
+pub fn run(mut config: ParallelBenchConfig) -> ParallelBenchReport {
+    config.instance_sweep.sort_unstable();
+    config.instance_sweep.dedup();
     let cores = available_cores();
     let population = PopulationConfig {
         n_sites: config.n_sites,

@@ -1,15 +1,34 @@
-//! Crawl campaign execution.
+//! Crawl campaign execution: one machine pass, three visit drivers.
 //!
-//! The machine runner distributes work at *shard* granularity: workers
-//! claim consecutive shard indices off one atomic cursor instead of being
-//! statically striped over sites (`i % instances == w`). Claiming order is
+//! Every campaign mode walks a machine's population the same way. The
+//! crate-private machine pass builds the machine context, runs the
+//! shard-claiming engine over a [`SiteSource`], folds each shard inside
+//! its worker right after the shard's visits, fills the shards of any
+//! worker that died with degraded rows, and hands back the worker states.
+//! What differs between modes is only the *visit driver*: its worker
+//! state, its per-site visit and its degraded row.
+//!
+//! * the **plain** driver (this module) makes one attempt per visit, with
+//!   the batch interaction planner optional;
+//! * the **chaos** driver ([`crate::chaos`]) retries attempts under the
+//!   fault plane and the recovery policy;
+//! * the **captured** driver ([`crate::reliability`]) takes the plain
+//!   truth and routes it through a lossy capture channel.
+//!
+//! All three apply the same post-attempt scenario drive through the
+//! worker's retained [`ScenarioScratch`], and every two-machine campaign
+//! goes population → one [`DetectorRuntime`] → machine (1) → machine (2)
+//! through one helper.
+//!
+//! Workers claim consecutive shard indices off one atomic cursor instead
+//! of being statically striped over sites. Claiming order is
 //! scheduling-dependent, but no draw is: every visit runs in a
 //! [`SimContext`] forked purely from `(machine seed, domain, visit
 //! index)`, and results land in per-shard write-once slots reassembled in
-//! shard order. The run is therefore bit-identical for any `instances`
-//! and any claiming order — property-tested, including under the lazy
-//! [`PopulationShards`] source where a shard's sites are materialised
-//! only while a worker holds them.
+//! shard order. A run is therefore bit-identical for any `instances`, any
+//! shard size and any claiming order — property-tested, including under
+//! the lazy [`PopulationShards`] source where a shard's sites are
+//! materialised only while a worker holds them.
 
 use crate::scenario::ScenarioScratch;
 use hlisa_human::{HumanParams, VisitPlanner};
@@ -61,28 +80,6 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Worker-local visit state: the scenario drive's persistent agent plus,
-/// in planner mode, the batch interaction planner and its running totals.
-/// One lives per worker thread for the worker's whole shard stream, so
-/// every scratch buffer reaches its high-water capacity once and is then
-/// reused visit after visit.
-pub(crate) struct VisitWorker {
-    scenario: ScenarioScratch,
-    planner: Option<(HumanParams, VisitPlanner)>,
-    plan_totals: PlanStats,
-}
-
-impl VisitWorker {
-    pub(crate) fn new(plan_interactions: bool) -> Self {
-        Self {
-            scenario: ScenarioScratch::new(),
-            planner: plan_interactions
-                .then(|| (HumanParams::paper_baseline(), VisitPlanner::new())),
-            plan_totals: PlanStats::default(),
-        }
-    }
-}
-
 /// All visits of one site by one machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteResult {
@@ -103,6 +100,19 @@ impl SiteResult {
     /// Number of successful visits.
     pub fn successful_visits(&self) -> usize {
         self.outcomes.iter().filter(|o| o.successful).count()
+    }
+
+    /// The site's row: `outcomes` in visit order. With no outcomes this is
+    /// the degraded row of a site whose worker died before visiting it —
+    /// recorded as unvisited rather than aborting the machine, mirroring
+    /// how the paper's crawl keeps its Table 2 denominators when
+    /// individual browser instances wedge.
+    pub(crate) fn new(site: &Site, outcomes: Vec<VisitOutcome>) -> Self {
+        Self {
+            domain: site.domain.clone(),
+            rank: site.rank,
+            outcomes,
+        }
     }
 }
 
@@ -128,14 +138,9 @@ pub struct Campaign {
 
 /// Runs the full two-machine campaign.
 pub fn run_campaign(config: &CampaignConfig) -> Campaign {
-    let sites = generate_population(&config.population);
-    // One runtime for the whole campaign: the template reference is
-    // captured once and the snapshot cache keeps a slot per flavour, so
-    // both machines (and all their workers) share the same pristine
-    // worlds. Sharing changes no output — stamps are value clones.
-    let runtime = new_runtime(config);
-    let openwpm = run_machine_with(config, &sites, ClientKind::OpenWpm, &runtime);
-    let spoofed = run_machine_with(config, &sites, ClientKind::OpenWpmSpoofed, &runtime);
+    let (sites, openwpm, spoofed) = run_two_machines(config, &Plain, |client, sites, _| {
+        MachineRun { client, sites }
+    });
     Campaign {
         sites,
         openwpm,
@@ -143,7 +148,110 @@ pub fn run_campaign(config: &CampaignConfig) -> Campaign {
     }
 }
 
-pub(crate) fn new_runtime(config: &CampaignConfig) -> DetectorRuntime {
+/// Runs one machine's crawl with `config.instances` parallel workers.
+///
+/// Workers claim shards of [`DEFAULT_SHARD_SIZE`] sites off an atomic
+/// cursor; every visit runs in its own [`SimContext`] forked from the
+/// machine context by `(domain, visit index)`. Neither the schedule nor
+/// the thread count can therefore affect any draw: the run is
+/// bit-identical for any `instances` and any claiming order.
+pub fn run_machine(config: &CampaignConfig, sites: &[Site], client: ClientKind) -> MachineRun {
+    plain_machine(config, sites, client).0
+}
+
+/// [`run_machine`] in batch-planner mode: every successful visit is
+/// driven off the worker's reusable [`VisitPlanner`] arena, and the
+/// summed plan totals come back alongside the (bit-identical) run.
+pub fn run_machine_planned(
+    config: &CampaignConfig,
+    sites: &[Site],
+    client: ClientKind,
+) -> (MachineRun, PlanStats) {
+    let planned = CampaignConfig {
+        plan_interactions: true,
+        ..config.clone()
+    };
+    plain_machine(&planned, sites, client)
+}
+
+/// One plain machine over a materialised population, plus the summed
+/// per-worker [`PlanStats`] (all zero unless `config.plan_interactions`).
+/// The totals are sums over visits, so they are identical for any worker
+/// count and claiming order.
+fn plain_machine(
+    config: &CampaignConfig,
+    sites: &[Site],
+    client: ClientKind,
+) -> (MachineRun, PlanStats) {
+    let source = SiteSource::Slice {
+        sites,
+        shard_size: DEFAULT_SHARD_SIZE,
+    };
+    let (sites, workers) = crawl_machine(config, &new_runtime(config), client, &source, &Plain);
+    let mut totals = PlanStats::default();
+    for w in &workers {
+        totals.absorb(w.plan_totals);
+    }
+    (MachineRun { client, sites }, totals)
+}
+
+/// Streaming variant for populations too large to hold a [`SiteResult`]
+/// per site: each shard's results are folded into a summary by
+/// `summarise(shard index, results)` *inside the worker* and dropped, so
+/// the standing footprint is one summary per shard plus one materialised
+/// shard per worker. Summaries return in shard order; a shard whose
+/// worker died is summarised from degraded (zero-outcome) rows.
+pub fn run_machine_shard_summaries<S: Send + Sync>(
+    config: &CampaignConfig,
+    shards: &PopulationShards,
+    client: ClientKind,
+    summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
+) -> Vec<S> {
+    let source = SiteSource::Lazy(shards);
+    machine_pass(
+        config,
+        &new_runtime(config),
+        client,
+        &source,
+        &Plain,
+        summarise,
+    )
+    .0
+}
+
+/// [`run_machine_shard_summaries`] with a crash-safe on-disk journal:
+/// each shard's summary is rendered by `to_json` and appended to `sink`
+/// **as the shard completes** (degraded shards included), fsync'd per
+/// append, so a harness crash loses at most the shard it was mid-write
+/// on. [`ShardSummarySink::replay`](crate::sink::ShardSummarySink::replay)
+/// recovers every durable line afterwards.
+///
+/// Returns the in-memory summaries (shard order) once every append is
+/// durably on disk; the first sink I/O error fails the run instead of
+/// silently dropping shards.
+pub fn run_machine_shard_summaries_persistent<S: Send + Sync>(
+    config: &CampaignConfig,
+    shards: &PopulationShards,
+    client: ClientKind,
+    summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
+    to_json: &(impl Fn(&S) -> String + Sync),
+    sink: &crate::sink::ShardSummarySink,
+) -> std::io::Result<Vec<S>> {
+    let summaries = run_machine_shard_summaries(config, shards, client, &|k, results| {
+        let summary = summarise(k, results);
+        sink.record(k, &to_json(&summary));
+        summary
+    });
+    sink.finish()?;
+    Ok(summaries)
+}
+
+/// The campaign's detector runtime — the crate's one `world_cache`
+/// branch. One runtime serves a whole campaign: the template reference is
+/// captured once and the snapshot cache keeps a slot per flavour, so both
+/// machines (and all their workers) share the same pristine worlds.
+/// Sharing changes no output — stamps are value clones.
+fn new_runtime(config: &CampaignConfig) -> DetectorRuntime {
     if config.world_cache {
         DetectorRuntime::new()
     } else {
@@ -166,61 +274,212 @@ pub(crate) enum SiteSource<'a> {
 }
 
 impl SiteSource<'_> {
-    pub(crate) fn n_sites(&self) -> usize {
+    fn n_sites(&self) -> usize {
         match self {
             SiteSource::Slice { sites, .. } => sites.len(),
             SiteSource::Lazy(shards) => shards.n_sites(),
         }
     }
 
-    pub(crate) fn shard_size(&self) -> usize {
+    fn shard_size(&self) -> usize {
         match self {
             SiteSource::Slice { shard_size, .. } => (*shard_size).max(1),
             SiteSource::Lazy(shards) => shards.shard_size(),
         }
     }
 
-    pub(crate) fn n_shards(&self) -> usize {
+    fn n_shards(&self) -> usize {
         self.n_sites().div_ceil(self.shard_size())
     }
 
-    pub(crate) fn shard_range(&self, k: usize) -> Range<usize> {
+    fn shard_range(&self, k: usize) -> Range<usize> {
         let lo = k * self.shard_size();
         let hi = (lo + self.shard_size()).min(self.n_sites());
         lo..hi
     }
 
-    /// Runs `f` over shard `k`'s sites (`f(first site index, sites)`). A
-    /// slice source borrows its window; the lazy source materialises the
-    /// shard for exactly the duration of the call.
-    pub(crate) fn with_shard<T>(&self, k: usize, f: impl FnOnce(usize, &[Site]) -> T) -> T {
+    /// Runs `f` over shard `k`'s sites. A slice source borrows its
+    /// window; the lazy source materialises the shard for exactly the
+    /// duration of the call.
+    fn with_shard<T>(&self, k: usize, f: impl FnOnce(&[Site]) -> T) -> T {
         match self {
-            SiteSource::Slice { sites, .. } => {
-                let range = self.shard_range(k);
-                f(range.start, &sites[range])
-            }
-            SiteSource::Lazy(shards) => shards.with_shard(k, f),
+            SiteSource::Slice { sites, .. } => f(&sites[self.shard_range(k)]),
+            SiteSource::Lazy(shards) => shards.with_shard(k, |_, sites| f(sites)),
         }
     }
 }
 
-/// The shard-claiming worker engine shared by the plain and chaos
-/// runners. Spawns `min(instances, shards)` workers which repeatedly
-/// claim the next shard index off one atomic cursor and run `process`
-/// over its sites with a worker-local state (`init` per worker), writing
-/// each shard's product into a write-once slot.
+/// One way of visiting a site — what the plain, chaos and captured
+/// crawls supply to the machine pass. A driver owns no scheduling: it
+/// sees one site at a time with its worker's state, so any worker
+/// produces the same row for the same site.
+pub(crate) trait VisitDriver: Sync {
+    /// Worker-local state, built once per worker for its whole shard
+    /// stream (scratch buffers, planner arenas, counters).
+    type Worker: Send;
+    /// What all visits of one site produce.
+    type Row: Send + Sync;
+
+    /// A fresh worker state.
+    fn worker(&self, config: &CampaignConfig) -> Self::Worker;
+
+    /// All visits of one site by `machine`.
+    fn visit_site(
+        &self,
+        machine: &Machine<'_>,
+        site: &Site,
+        worker: &mut Self::Worker,
+    ) -> Self::Row;
+
+    /// The row of a site whose worker died before visiting it.
+    fn degraded(&self, site: &Site) -> Self::Row;
+}
+
+/// What every visit of one machine shares: the campaign, the client
+/// flavour, the detector runtime and the machine context each visit
+/// forks from — a pure function of `(campaign seed, machine label)`.
+pub(crate) struct Machine<'a> {
+    pub(crate) config: &'a CampaignConfig,
+    pub(crate) client: ClientKind,
+    pub(crate) runtime: &'a DetectorRuntime,
+    ctx: SimContext,
+}
+
+impl Machine<'_> {
+    /// The context of visit `v` to `site`.
+    pub(crate) fn visit_ctx(&self, site: &Site, v: u64) -> SimContext {
+        self.ctx.fork_visit(&site.domain, v)
+    }
+
+    /// The post-attempt scenario drive every driver applies: a dynamic
+    /// page's site runs its drive in the attempt's context, which may
+    /// override a successful-looking visit's screenshot verdict. It draws
+    /// only from its own forked streams, so populations without
+    /// scenarios stay bit-identical.
+    pub(crate) fn drive_scenario(
+        &self,
+        site: &Site,
+        outcome: &mut VisitOutcome,
+        ctx: &mut SimContext,
+        scratch: &mut ScenarioScratch,
+    ) {
+        if let Some(kind) = site.scenario {
+            crate::scenario::apply_scenario_drive_with(
+                self.config.seed,
+                site,
+                kind,
+                self.client,
+                outcome,
+                ctx,
+                scratch,
+            );
+        }
+    }
+}
+
+/// The machine pass — the one place a machine walks its population.
+/// Builds the machine context, runs the shard-claiming engine over
+/// `source` with one `driver` worker state per worker, and folds each
+/// shard by `fold(shard index, rows)` inside its worker right after the
+/// shard's visits. A shard whose worker died is folded from degraded rows
+/// afterwards, in shard order. Returns the folded shards in shard order
+/// and the worker states in worker-index order.
+pub(crate) fn machine_pass<D: VisitDriver, S: Send + Sync>(
+    config: &CampaignConfig,
+    runtime: &DetectorRuntime,
+    client: ClientKind,
+    source: &SiteSource<'_>,
+    driver: &D,
+    fold: &(impl Fn(usize, Vec<D::Row>) -> S + Sync),
+) -> (Vec<S>, Vec<D::Worker>) {
+    let label = match client {
+        ClientKind::OpenWpm => "m1",
+        ClientKind::OpenWpmSpoofed => "m2",
+    };
+    let machine = Machine {
+        config,
+        client,
+        runtime,
+        ctx: SimContext::new(config.seed).fork(label, 0),
+    };
+    let (slots, workers) = run_sharded(
+        config.instances,
+        source,
+        &|| driver.worker(config),
+        &|worker, k, sites| {
+            let rows = sites
+                .iter()
+                .map(|site| driver.visit_site(&machine, site, worker))
+                .collect();
+            fold(k, rows)
+        },
+    );
+    let folded = slots
+        .into_iter()
+        .enumerate()
+        .map(|(k, slot)| {
+            slot.unwrap_or_else(|| {
+                source.with_shard(k, |sites| {
+                    fold(k, sites.iter().map(|site| driver.degraded(site)).collect())
+                })
+            })
+        })
+        .collect();
+    (folded, workers)
+}
+
+/// [`machine_pass`] with the shards concatenated: every site's row in
+/// population order.
+pub(crate) fn crawl_machine<D: VisitDriver>(
+    config: &CampaignConfig,
+    runtime: &DetectorRuntime,
+    client: ClientKind,
+    source: &SiteSource<'_>,
+    driver: &D,
+) -> (Vec<D::Row>, Vec<D::Worker>) {
+    let (shards, workers) = machine_pass(config, runtime, client, source, driver, &|_, rows| rows);
+    (shards.into_iter().flatten().collect(), workers)
+}
+
+/// A two-machine campaign: generates the population, builds one detector
+/// runtime for both machines, crawls machine (1) then machine (2) with
+/// `driver`, and shapes each machine's rows and worker states with
+/// `finish`.
+pub(crate) fn run_two_machines<D: VisitDriver, M>(
+    config: &CampaignConfig,
+    driver: &D,
+    finish: impl Fn(ClientKind, Vec<D::Row>, Vec<D::Worker>) -> M,
+) -> (Vec<Site>, M, M) {
+    let sites = generate_population(&config.population);
+    let runtime = new_runtime(config);
+    let source = SiteSource::Slice {
+        sites: &sites,
+        shard_size: DEFAULT_SHARD_SIZE,
+    };
+    let [m1, m2] = [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed].map(|client| {
+        let (rows, workers) = crawl_machine(config, &runtime, client, &source, driver);
+        finish(client, rows, workers)
+    });
+    (sites, m1, m2)
+}
+
+/// The shard-claiming worker engine behind [`machine_pass`]. Spawns
+/// `min(instances, shards)` workers which repeatedly claim the next shard
+/// index off one atomic cursor and run `process` over its sites with a
+/// worker-local state (`init` per worker), writing each shard's product
+/// into a write-once slot.
 ///
 /// Returns the per-shard products in shard order (`None` for a shard
-/// whose worker died before writing — callers degrade those) and the
-/// worker states in worker-index order. The claiming order is
-/// scheduling-dependent; nothing processed is: `process` receives only
-/// the shard's identity and sites, so any claim order yields the same
-/// slot contents, and worker-state *totals* are partition-independent.
-pub(crate) fn run_sharded<S, W>(
+/// whose worker died before writing) and the worker states in
+/// worker-index order. The claiming order is scheduling-dependent;
+/// nothing processed is: `process` receives only the shard's identity and
+/// sites, so any claim order yields the same slot contents, and
+/// worker-state *totals* are partition-independent.
+fn run_sharded<S, W>(
     instances: usize,
     source: &SiteSource<'_>,
     init: &(impl Fn() -> W + Sync),
-    process: &(impl Fn(&mut W, usize, usize, &[Site]) -> S + Sync),
+    process: &(impl Fn(&mut W, usize, &[Site]) -> S + Sync),
 ) -> (Vec<Option<S>>, Vec<W>)
 where
     S: Send + Sync,
@@ -243,8 +502,7 @@ where
                         if k >= n_shards {
                             break;
                         }
-                        let product =
-                            source.with_shard(k, |base, sites| process(&mut state, k, base, sites));
+                        let product = source.with_shard(k, |sites| process(&mut state, k, sites));
                         // Each shard index is claimed by exactly one
                         // worker, so the set can only succeed; if the
                         // cursor invariant ever broke, the first write
@@ -269,308 +527,80 @@ where
     )
 }
 
-/// Runs one machine's crawl with `config.instances` parallel workers.
-///
-/// Workers claim shards of [`DEFAULT_SHARD_SIZE`] sites off an atomic
-/// cursor; every visit runs in its own [`SimContext`] forked from the
-/// machine context by `(domain, visit index)`. Neither the schedule nor
-/// the thread count can therefore affect any draw: the run is
-/// bit-identical for any `instances` and any claiming order.
-pub fn run_machine(config: &CampaignConfig, sites: &[Site], client: ClientKind) -> MachineRun {
-    run_machine_with(config, sites, client, &new_runtime(config))
+/// The plain crawl's driver: one attempt per visit, planned when
+/// `config.plan_interactions` is set.
+pub(crate) struct Plain;
+
+/// The plain driver's worker state: the scenario drive's persistent
+/// agent plus, in planner mode, the batch interaction planner and its
+/// running totals. Every scratch buffer reaches its high-water capacity
+/// once and is then reused visit after visit; nothing in it can
+/// influence a draw, so any worker produces the same result.
+pub(crate) struct VisitWorker {
+    scenario: ScenarioScratch,
+    planner: Option<(HumanParams, VisitPlanner)>,
+    plan_totals: PlanStats,
 }
 
-/// [`run_machine`] with an explicit shard size — the knob property tests
-/// sweep to prove shard granularity never affects output.
-pub fn run_machine_sharded(
-    config: &CampaignConfig,
-    sites: &[Site],
-    client: ClientKind,
-    shard_size: usize,
-) -> MachineRun {
-    run_machine_source(
-        config,
-        &SiteSource::Slice { sites, shard_size },
-        client,
-        &new_runtime(config),
-    )
-}
-
-/// [`run_machine`] over a lazy sharded population: at most one shard per
-/// worker is materialised at any moment (the shard layer's residency
-/// gauges prove it), and the output is bit-identical to running over the
-/// eager population.
-pub fn run_machine_lazy(
-    config: &CampaignConfig,
-    shards: &PopulationShards,
-    client: ClientKind,
-) -> MachineRun {
-    run_machine_source(
-        config,
-        &SiteSource::Lazy(shards),
-        client,
-        &new_runtime(config),
-    )
-}
-
-/// Streaming variant for populations too large to hold a [`SiteResult`]
-/// per site: each shard's results are folded into a summary by
-/// `summarise(shard index, results)` *inside the worker* and dropped, so
-/// the standing footprint is one summary per shard plus one materialised
-/// shard per worker. Summaries return in shard order; a shard whose
-/// worker died is summarised from degraded (zero-outcome) rows.
-pub fn run_machine_shard_summaries<S: Send + Sync>(
-    config: &CampaignConfig,
-    shards: &PopulationShards,
-    client: ClientKind,
-    summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
-) -> Vec<S> {
-    run_shard_summaries_with(config, shards, client, summarise, &|_, _| {})
-}
-
-/// [`run_machine_shard_summaries`] with a crash-safe on-disk journal:
-/// each shard's summary is rendered by `to_json` and appended to `sink`
-/// **as the shard completes**, fsync'd per append, so a harness crash
-/// loses at most the shard it was mid-write on.
-/// [`ShardSummarySink::replay`](crate::sink::ShardSummarySink::replay)
-/// recovers every durable line afterwards.
-///
-/// Returns the in-memory summaries (shard order) once every append is
-/// durably on disk; the first sink I/O error fails the run instead of
-/// silently dropping shards.
-pub fn run_machine_shard_summaries_persistent<S: Send + Sync>(
-    config: &CampaignConfig,
-    shards: &PopulationShards,
-    client: ClientKind,
-    summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
-    to_json: &(impl Fn(&S) -> String + Sync),
-    sink: &crate::sink::ShardSummarySink,
-) -> std::io::Result<Vec<S>> {
-    let summaries = run_shard_summaries_with(config, shards, client, summarise, &|k, s| {
-        sink.record(k, &to_json(s));
-    });
-    sink.finish()?;
-    Ok(summaries)
-}
-
-/// Shared engine behind the shard-summary runners: `record(k, &summary)`
-/// fires once per shard — inside the worker for shards that complete,
-/// during the sequential collection pass for shards whose worker died.
-fn run_shard_summaries_with<S: Send + Sync>(
-    config: &CampaignConfig,
-    shards: &PopulationShards,
-    client: ClientKind,
-    summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
-    record: &(impl Fn(usize, &S) + Sync),
-) -> Vec<S> {
-    let runtime = new_runtime(config);
-    let machine_ctx = machine_context(config, client);
-    let source = SiteSource::Lazy(shards);
-    let (slots, _) = run_sharded(
-        config.instances,
-        &source,
-        &|| VisitWorker::new(config.plan_interactions),
-        &|worker: &mut VisitWorker, k, _base, sites| {
-            let results: Vec<SiteResult> = sites
-                .iter()
-                .map(|site| visit_site(config, site, client, &runtime, &machine_ctx, worker))
-                .collect();
-            let summary = summarise(k, results);
-            record(k, &summary);
-            summary
-        },
-    );
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(k, slot)| {
-            slot.unwrap_or_else(|| {
-                source.with_shard(k, |_, sites| {
-                    let summary = summarise(k, sites.iter().map(degraded_result).collect());
-                    record(k, &summary);
-                    summary
-                })
-            })
-        })
-        .collect()
-}
-
-/// [`run_machine`] with an explicit (shareable) detector runtime. The
-/// runtime is shared by reference across the workers: the template
-/// reference is captured once, and on the fast path the
-/// `OnceLock`-guarded snapshot cache builds each pristine world once.
-fn run_machine_with(
-    config: &CampaignConfig,
-    sites: &[Site],
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-) -> MachineRun {
-    run_machine_source(
-        config,
-        &SiteSource::Slice {
-            sites,
-            shard_size: DEFAULT_SHARD_SIZE,
-        },
-        client,
-        runtime,
-    )
-}
-
-/// The machine context every visit fork derives from: a pure function of
-/// `(campaign seed, machine label)`.
-pub(crate) fn machine_context(config: &CampaignConfig, client: ClientKind) -> SimContext {
-    let label = match client {
-        ClientKind::OpenWpm => "m1",
-        ClientKind::OpenWpmSpoofed => "m2",
-    };
-    SimContext::new(config.seed).fork(label, 0)
-}
-
-/// All visits of one site by one machine — the per-site unit of work,
-/// identical whichever worker claims it and whenever it runs. The worker
-/// state carries only reusable scratch (and planner totals): nothing in
-/// it can influence a draw, so any worker produces the same result.
-fn visit_site(
-    config: &CampaignConfig,
-    site: &Site,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
-    worker: &mut VisitWorker,
-) -> SiteResult {
-    let outcomes: Vec<VisitOutcome> = (0..config.visits_per_site)
-        .map(|v| {
-            let mut ctx = machine_ctx.fork_visit(&site.domain, v as u64);
-            let mut outcome = match &mut worker.planner {
-                // Planner mode: the same visit attempt, plus the batch
-                // interaction plan laid into the worker's arena from the
-                // visit's "plan" fork — the "visit" stream (and so the
-                // outcome) is untouched.
-                Some((params, planner)) => {
-                    let (outcome, stats) =
-                        simulate_visit_planned(site, client, runtime, &mut ctx, params, planner);
-                    worker.plan_totals.absorb(stats);
-                    outcome
-                }
-                None => simulate_visit(site, client, runtime, &mut ctx),
-            };
-            // Dynamic-page sites additionally run the scenario drive; it
-            // draws only from its own forked streams, so populations
-            // without scenarios stay bit-identical.
-            if let Some(kind) = site.scenario {
-                crate::scenario::apply_scenario_drive_with(
-                    config.seed,
-                    site,
-                    kind,
-                    client,
-                    &mut outcome,
-                    &mut ctx,
-                    &mut worker.scenario,
-                );
-            }
-            outcome
-        })
-        .collect();
-    SiteResult {
-        domain: site.domain.clone(),
-        rank: site.rank,
-        outcomes,
-    }
-}
-
-fn run_machine_source(
-    config: &CampaignConfig,
-    source: &SiteSource<'_>,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-) -> MachineRun {
-    run_machine_source_totals(config, source, client, runtime).0
-}
-
-/// The engine behind every plain machine run: shard-claiming workers,
-/// each holding one [`VisitWorker`] for its whole shard stream. Returns
-/// the machine run plus the summed per-worker [`PlanStats`] (all zero
-/// unless `config.plan_interactions`); the totals are sums over visits,
-/// so they are identical for any worker count and claiming order.
-fn run_machine_source_totals(
-    config: &CampaignConfig,
-    source: &SiteSource<'_>,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-) -> (MachineRun, PlanStats) {
-    let machine_ctx = machine_context(config, client);
-    let (slots, workers) = run_sharded(
-        config.instances,
-        source,
-        &|| VisitWorker::new(config.plan_interactions),
-        &|worker: &mut VisitWorker, _k, _base, sites| {
-            sites
-                .iter()
-                .map(|site| visit_site(config, site, client, runtime, &machine_ctx, worker))
-                .collect::<Vec<SiteResult>>()
-        },
-    );
-    let mut totals = PlanStats::default();
-    for w in &workers {
-        totals.absorb(w.plan_totals);
-    }
-    (
-        MachineRun {
-            client,
-            sites: collect_results(slots, source),
-        },
-        totals,
-    )
-}
-
-/// [`run_machine`] in batch-planner mode: every successful visit is
-/// driven off the worker's reusable [`VisitPlanner`] arena, and the
-/// summed plan totals come back alongside the (bit-identical) run.
-pub fn run_machine_planned(
-    config: &CampaignConfig,
-    sites: &[Site],
-    client: ClientKind,
-) -> (MachineRun, PlanStats) {
-    let mut planned = config.clone();
-    planned.plan_interactions = true;
-    run_machine_source_totals(
-        &planned,
-        &SiteSource::Slice {
-            sites,
-            shard_size: DEFAULT_SHARD_SIZE,
-        },
-        client,
-        &new_runtime(&planned),
-    )
-}
-
-/// Reassembles the per-shard write-once slots into population order,
-/// degrading every site of any shard whose worker died before writing it.
-pub(crate) fn collect_results(
-    slots: Vec<Option<Vec<SiteResult>>>,
-    source: &SiteSource<'_>,
-) -> Vec<SiteResult> {
-    let mut out = Vec::with_capacity(source.n_sites());
-    for (k, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(results) => out.extend(results),
-            None => source.with_shard(k, |_, sites| {
-                out.extend(sites.iter().map(degraded_result));
-            }),
+impl VisitWorker {
+    fn new(plan_interactions: bool) -> Self {
+        Self {
+            scenario: ScenarioScratch::new(),
+            planner: plan_interactions
+                .then(|| (HumanParams::paper_baseline(), VisitPlanner::new())),
+            plan_totals: PlanStats::default(),
         }
     }
-    out
+
+    /// Visit `v` to `site`: one attempt (planned in planner mode — the
+    /// plan is laid into the worker's arena from the visit's `"plan"`
+    /// fork, so the `"visit"` stream and the outcome are untouched), then
+    /// the scenario drive. Returns the outcome and the visit context the
+    /// attempt drew from.
+    pub(crate) fn visit(
+        &mut self,
+        machine: &Machine<'_>,
+        site: &Site,
+        v: u64,
+    ) -> (VisitOutcome, SimContext) {
+        let mut ctx = machine.visit_ctx(site, v);
+        let (client, runtime) = (machine.client, machine.runtime);
+        let mut outcome = match &mut self.planner {
+            Some((params, planner)) => {
+                let (outcome, stats) =
+                    simulate_visit_planned(site, client, runtime, &mut ctx, params, planner);
+                self.plan_totals.absorb(stats);
+                outcome
+            }
+            None => simulate_visit(site, client, runtime, &mut ctx),
+        };
+        machine.drive_scenario(site, &mut outcome, &mut ctx, &mut self.scenario);
+        (outcome, ctx)
+    }
 }
 
-/// Graceful degradation for a site whose worker died before writing its
-/// slot: record the site as unvisited (zero outcomes) rather than
-/// aborting the whole machine, mirroring how the paper's crawl keeps its
-/// Table 2 denominators when individual browser instances wedge.
-fn degraded_result(site: &Site) -> SiteResult {
-    SiteResult {
-        domain: site.domain.clone(),
-        rank: site.rank,
-        outcomes: Vec::new(),
+impl VisitDriver for Plain {
+    type Worker = VisitWorker;
+    type Row = SiteResult;
+
+    fn worker(&self, config: &CampaignConfig) -> VisitWorker {
+        VisitWorker::new(config.plan_interactions)
+    }
+
+    fn visit_site(
+        &self,
+        machine: &Machine<'_>,
+        site: &Site,
+        worker: &mut VisitWorker,
+    ) -> SiteResult {
+        let outcomes = (0..machine.config.visits_per_site as u64)
+            .map(|v| worker.visit(machine, site, v).0)
+            .collect();
+        SiteResult::new(site, outcomes)
+    }
+
+    fn degraded(&self, site: &Site) -> SiteResult {
+        SiteResult::new(site, Vec::new())
     }
 }
 
@@ -665,45 +695,70 @@ mod tests {
         }
     }
 
+    /// The plain driver, except that its worker wedges (panics) on one
+    /// site — the failure the machine pass must absorb.
+    struct Wedged {
+        domain: String,
+    }
+
+    impl VisitDriver for Wedged {
+        type Worker = VisitWorker;
+        type Row = SiteResult;
+
+        fn worker(&self, config: &CampaignConfig) -> VisitWorker {
+            Plain.worker(config)
+        }
+
+        fn visit_site(
+            &self,
+            machine: &Machine<'_>,
+            site: &Site,
+            worker: &mut VisitWorker,
+        ) -> SiteResult {
+            assert_ne!(site.domain, self.domain, "browser instance wedged");
+            Plain.visit_site(machine, site, worker)
+        }
+
+        fn degraded(&self, site: &Site) -> SiteResult {
+            Plain.degraded(site)
+        }
+    }
+
     #[test]
     fn poisoned_shard_degrades_to_zero_outcome_rows_instead_of_aborting() {
-        let sites = generate_population(&small_config().population);
+        let config = small_config();
+        let sites = generate_population(&config.population);
         let source = SiteSource::Slice {
             sites: &sites,
             shard_size: 10,
         };
-        // Simulate a worker that wedged mid-shard: shard 1's slot never
-        // gets written. Every other shard is filled normally.
-        let slots: Vec<Option<Vec<SiteResult>>> = (0..source.n_shards())
-            .map(|k| {
-                if k == 1 {
-                    return None;
-                }
-                Some(source.with_shard(k, |_, shard_sites| {
-                    shard_sites
-                        .iter()
-                        .map(|site| SiteResult {
-                            domain: site.domain.clone(),
-                            rank: site.rank,
-                            outcomes: vec![],
-                        })
-                        .collect()
-                }))
-            })
-            .collect();
-        let collected = collect_results(slots, &source);
+        // A worker wedges on the first site of shard 1 and dies: that
+        // shard's slot never gets written. The other workers carry on.
+        let wedged = Wedged {
+            domain: sites[10].domain.clone(),
+        };
+        let (collected, _) = crawl_machine(
+            &config,
+            &new_runtime(&config),
+            ClientKind::OpenWpm,
+            &source,
+            &wedged,
+        );
         // The machine run still covers the full population, in order…
         assert_eq!(collected.len(), sites.len());
-        for (site, result) in sites.iter().zip(&collected) {
+        for (i, (site, result)) in sites.iter().zip(&collected).enumerate() {
             assert_eq!(site.domain, result.domain);
             assert_eq!(site.rank, result.rank);
+            if !(10..20).contains(&i) {
+                assert_eq!(result.outcomes.len(), config.visits_per_site);
+            }
         }
         // …and the poisoned shard's sites read as unvisited, keeping
         // Table 2's denominators intact rather than crashing the campaign.
-        for i in 10..20 {
-            assert!(collected[i].outcomes.is_empty());
-            assert!(!collected[i].reached());
-            assert_eq!(collected[i].successful_visits(), 0);
+        for result in &collected[10..20] {
+            assert!(result.outcomes.is_empty());
+            assert!(!result.reached());
+            assert_eq!(result.successful_visits(), 0);
         }
     }
 
@@ -712,26 +767,38 @@ mod tests {
         let config = small_config();
         let sites = generate_population(&config.population);
         let baseline = run_machine(&config, &sites, ClientKind::OpenWpm);
+        let runtime = new_runtime(&config);
         // Any explicit shard size — including one that leaves a ragged
-        // tail or degenerates to one site per shard — yields the same run.
+        // tail or degenerates to one site per shard — yields the same run,
+        // from the eager slice and from the lazy shard layer alike.
         for shard_size in [1usize, 7, 10, 60, 1_000] {
-            let sharded = run_machine_sharded(&config, &sites, ClientKind::OpenWpm, shard_size);
-            assert_eq!(sharded, baseline, "shard_size {shard_size}");
+            let source = SiteSource::Slice {
+                sites: &sites,
+                shard_size,
+            };
+            let (sharded, _) =
+                crawl_machine(&config, &runtime, ClientKind::OpenWpm, &source, &Plain);
+            assert_eq!(sharded, baseline.sites, "shard_size {shard_size}");
+
+            let shards = PopulationShards::with_shard_size(&config.population, shard_size);
+            let lazy =
+                run_machine_shard_summaries(&config, &shards, ClientKind::OpenWpm, &|_, rows| rows);
+            assert_eq!(
+                lazy.concat(),
+                baseline.sites,
+                "lazy shard_size {shard_size}"
+            );
+            // Laziness held: never more shards live than workers.
+            assert!(shards.peak_resident_shards() <= config.instances.max(1));
+            assert!(shards.peak_resident_shards() >= 1);
+            assert_eq!(shards.resident_shards(), 0);
         }
-        // The lazy source materialises shards on claim and still matches.
-        let shards = hlisa_web::PopulationShards::with_shard_size(&config.population, 13);
-        let lazy = run_machine_lazy(&config, &shards, ClientKind::OpenWpm);
-        assert_eq!(lazy, baseline);
-        // Laziness held: never more shards live than workers.
-        assert!(shards.peak_resident_shards() <= config.instances.max(1));
-        assert!(shards.peak_resident_shards() >= 1);
-        assert_eq!(shards.resident_shards(), 0);
     }
 
     #[test]
     fn persistent_shard_summaries_journal_every_shard_and_replay_after_a_crash() {
         let config = small_config();
-        let shards = hlisa_web::PopulationShards::with_shard_size(&config.population, 9);
+        let shards = PopulationShards::with_shard_size(&config.population, 9);
         let summarise = |k: usize, results: Vec<SiteResult>| {
             let successes: usize = results.iter().map(SiteResult::successful_visits).sum();
             (k, successes)
@@ -781,7 +848,7 @@ mod tests {
     #[test]
     fn shard_summaries_stream_in_shard_order_with_identical_contents() {
         let config = small_config();
-        let shards = hlisa_web::PopulationShards::with_shard_size(&config.population, 9);
+        let shards = PopulationShards::with_shard_size(&config.population, 9);
         let baseline = run_machine(
             &config,
             &generate_population(&config.population),

@@ -1,17 +1,27 @@
-//! Chaos-mode campaign runner: the legacy two-machine crawl threaded
-//! through the fault plane and the recovery policy engine.
+//! Chaos-mode campaigns: the two-machine crawl threaded through the
+//! fault plane and the recovery policy engine.
 //!
-//! The runner preserves two invariants the tests pin down:
+//! Chaos is a visit driver over the campaign module's one machine pass
+//! (see [`crate::campaign`]): it supplies a per-site crawl that retries
+//! attempts under a [`RetryPolicy`] and a per-site [`CircuitBreaker`],
+//! a worker state holding the scenario scratch and a [`FaultMonitor`],
+//! and a degraded row. Scheduling, degraded-shard fill and the two-machine
+//! sequence are the engine's. The driver preserves two invariants the
+//! tests pin down:
 //!
 //! 1. **Rate-0 bit-identity.** With [`ChaosConfig::off`] the embedded
-//!    [`Campaign`] is byte-identical to [`run_campaign`]'s output: a
-//!    no-op [`FaultPlan`] consumes zero fault-stream draws, and visit
-//!    draws flow through the exact same `"visit"` stream forks.
+//!    [`Campaign`] is byte-identical to [`run_campaign`](crate::run_campaign)'s
+//!    output for any population, scenario sites included: a no-op
+//!    [`FaultPlan`] consumes zero fault-stream draws, visit draws flow
+//!    through the exact same `"visit"` stream forks, and a successful
+//!    attempt runs the same post-attempt scenario drive as the plain
+//!    driver.
 //! 2. **Determinism under faults.** Every fault draw and every backoff
 //!    jitter comes from the visit's `"fault"` stream — a pure function of
 //!    `(seed, machine, domain, visit index)` — so a faulted campaign
 //!    (outcomes *and* `fault.*`/`retry.*`/`breaker.*` counters) replays
-//!    identically for a fixed seed, regardless of worker count.
+//!    identically for a fixed seed, regardless of worker count and shard
+//!    size.
 //!
 //! Retries re-fork the visit context from scratch, so a retried visit
 //! replays exactly the interaction draws a first-try visit would have
@@ -20,14 +30,12 @@
 //! visits) are recorded as-is, matching the paper's non-retrying crawler.
 
 use crate::campaign::{
-    machine_context, run_sharded, Campaign, CampaignConfig, MachineRun, SiteResult, SiteSource,
+    run_two_machines, Campaign, CampaignConfig, Machine, MachineRun, Plain, SiteResult, VisitDriver,
 };
 use crate::recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
-use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, Observer, SimContext};
-use hlisa_web::visit::DetectorRuntime;
-use hlisa_web::{
-    generate_population, simulate_visit_attempt, ClientKind, Site, VisitError, DEFAULT_SHARD_SIZE,
-};
+use crate::scenario::ScenarioScratch;
+use hlisa_sim::{CounterSet, FaultEvent, FaultMonitor, FaultPlan, Observer};
+use hlisa_web::{simulate_visit_attempt, ClientKind, Site, VisitError};
 
 /// Fault-plane and recovery configuration for a chaos campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,39 +123,8 @@ impl ChaosCampaign {
 
 /// Runs the full two-machine campaign under a fault plane.
 pub fn run_chaos_campaign(config: &CampaignConfig, chaos: &ChaosConfig) -> ChaosCampaign {
-    run_chaos_campaign_sharded(config, chaos, DEFAULT_SHARD_SIZE)
-}
-
-/// [`run_chaos_campaign`] with an explicit shard size — the knob the
-/// determinism property tests sweep to prove the shard-claiming
-/// scheduler never affects chaos outcomes or counters.
-pub fn run_chaos_campaign_sharded(
-    config: &CampaignConfig,
-    chaos: &ChaosConfig,
-    shard_size: usize,
-) -> ChaosCampaign {
-    let sites = generate_population(&config.population);
-    let runtime = if config.world_cache {
-        DetectorRuntime::new()
-    } else {
-        DetectorRuntime::without_world_cache()
-    };
-    let (openwpm, openwpm_recovery) = run_chaos_machine(
-        config,
-        chaos,
-        &sites,
-        ClientKind::OpenWpm,
-        &runtime,
-        shard_size,
-    );
-    let (spoofed, spoofed_recovery) = run_chaos_machine(
-        config,
-        chaos,
-        &sites,
-        ClientKind::OpenWpmSpoofed,
-        &runtime,
-        shard_size,
-    );
+    let (sites, (openwpm, openwpm_recovery), (spoofed, spoofed_recovery)) =
+        run_two_machines(config, &Chaos(chaos), split_machine);
     ChaosCampaign {
         campaign: Campaign {
             sites,
@@ -159,145 +136,104 @@ pub fn run_chaos_campaign_sharded(
     }
 }
 
-/// One machine's chaos crawl with `config.instances` parallel workers
-/// claiming shards off the same atomic-cursor scheduler as the plain
-/// runner. A shard's sites are wholly owned by the claiming worker, so
-/// per-site breaker state stays unsynchronised; per-worker fault monitors
-/// are merged after the join and canonicalised to name order, making the
-/// counter set independent of which worker claimed which shard.
-fn run_chaos_machine(
-    config: &CampaignConfig,
-    chaos: &ChaosConfig,
-    sites: &[Site],
+/// Splits one machine's chaos rows into the run and its recovery
+/// telemetry. Per-worker counters are merged, then canonicalised to name
+/// order: totals are partition-independent (every site is crawled exactly
+/// once, whichever worker claims its shard), but insertion order is not —
+/// sorting makes the whole `MachineRecovery` schedule-independent.
+fn split_machine(
     client: ClientKind,
-    runtime: &DetectorRuntime,
-    shard_size: usize,
+    rows: Vec<(SiteResult, SiteRecovery)>,
+    workers: Vec<(ScenarioScratch, FaultMonitor)>,
 ) -> (MachineRun, MachineRecovery) {
-    let machine_ctx = machine_context(config, client);
-    let source = SiteSource::Slice { sites, shard_size };
-    let (slots, monitors) = run_sharded(
-        config.instances,
-        &source,
-        &FaultMonitor::new,
-        &|monitor: &mut FaultMonitor, _k, _base, shard_sites| {
-            shard_sites
-                .iter()
-                .map(|site| crawl_site(config, chaos, site, client, runtime, &machine_ctx, monitor))
-                .collect::<Vec<(SiteResult, SiteRecovery)>>()
-        },
-    );
-
-    // Merge per-worker counters, then canonicalise to name order: totals
-    // are partition-independent (every site is crawled exactly once,
-    // whichever worker claims its shard), but insertion order is not —
-    // sorting makes the whole `MachineRecovery` schedule-independent.
-    let mut counters = hlisa_sim::CounterSet::new();
-    for monitor in &monitors {
+    let mut counters = CounterSet::new();
+    for (_, monitor) in &workers {
         counters.merge(&monitor.counters());
     }
-    let counters = counters.sorted();
-
-    let mut results = Vec::with_capacity(sites.len());
-    let mut recoveries = Vec::with_capacity(sites.len());
-    for (k, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(crawled) => {
-                for (result, recovery) in crawled {
-                    results.push(result);
-                    recoveries.push(recovery);
-                }
-            }
-            // Graceful degradation mirroring the legacy runner: every
-            // site of a shard whose worker died is recorded unvisited,
-            // not fatal.
-            None => source.with_shard(k, |_, shard_sites| {
-                for site in shard_sites {
-                    results.push(SiteResult {
-                        domain: site.domain.clone(),
-                        rank: site.rank,
-                        outcomes: Vec::new(),
-                    });
-                    recoveries.push(SiteRecovery {
-                        domain: site.domain.clone(),
-                        visits: Vec::new(),
-                        breaker_open: false,
-                    });
-                }
-            }),
-        }
-    }
-
+    let (sites, recoveries) = rows.into_iter().unzip();
     (
-        MachineRun {
-            client,
-            sites: results,
-        },
+        MachineRun { client, sites },
         MachineRecovery {
             client,
             sites: recoveries,
-            counters,
+            counters: counters.sorted(),
         },
     )
 }
 
-/// Crawls every visit of one site under the recovery policy. The site's
-/// circuit breaker lives here: a site is wholly owned by one worker, so
-/// breaker state needs no synchronisation and trips deterministically.
-fn crawl_site(
-    config: &CampaignConfig,
-    chaos: &ChaosConfig,
-    site: &Site,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
-    monitor: &mut FaultMonitor,
-) -> (SiteResult, SiteRecovery) {
-    let site_down = chaos.plan.site_is_down(config.seed, &site.domain);
-    let mut breaker = CircuitBreaker::new(chaos.breaker.clone());
-    let mut outcomes = Vec::with_capacity(config.visits_per_site);
-    let mut visits = Vec::with_capacity(config.visits_per_site);
+/// The chaos driver: every visit of a site under the recovery policy.
+struct Chaos<'a>(&'a ChaosConfig);
 
-    for v in 0..config.visits_per_site {
-        if breaker.is_open() {
-            monitor.record(&FaultEvent::BreakerSkippedVisit);
-            let outcome = VisitError::Unreachable { site_down: true }.to_outcome();
-            outcomes.push(outcome.clone());
-            visits.push(VisitRecovery {
-                outcome,
-                attempts: 0,
-                faults: Vec::new(),
-                backoff_ms: 0.0,
-                skipped_by_breaker: true,
-            });
-            continue;
-        }
-        let recovery = visit_with_recovery(
-            chaos,
-            site,
-            site_down,
-            client,
-            runtime,
-            machine_ctx,
-            v as u64,
-            &mut breaker,
-            monitor,
-        );
-        outcomes.push(recovery.outcome.clone());
-        visits.push(recovery);
+impl VisitDriver for Chaos<'_> {
+    type Worker = (ScenarioScratch, FaultMonitor);
+    type Row = (SiteResult, SiteRecovery);
+
+    fn worker(&self, _config: &CampaignConfig) -> Self::Worker {
+        (ScenarioScratch::new(), FaultMonitor::new())
     }
 
-    (
-        SiteResult {
-            domain: site.domain.clone(),
-            rank: site.rank,
-            outcomes,
-        },
-        SiteRecovery {
-            domain: site.domain.clone(),
-            visits,
-            breaker_open: breaker.is_open(),
-        },
-    )
+    /// The site's circuit breaker lives here: a site is wholly owned by
+    /// one worker, so breaker state needs no synchronisation and trips
+    /// deterministically.
+    fn visit_site(
+        &self,
+        machine: &Machine<'_>,
+        site: &Site,
+        (scratch, monitor): &mut Self::Worker,
+    ) -> Self::Row {
+        let chaos = self.0;
+        let config = machine.config;
+        let site_down = chaos.plan.site_is_down(config.seed, &site.domain);
+        let mut breaker = CircuitBreaker::new(chaos.breaker.clone());
+        let mut outcomes = Vec::with_capacity(config.visits_per_site);
+        let mut visits = Vec::with_capacity(config.visits_per_site);
+
+        for v in 0..config.visits_per_site as u64 {
+            let recovery = if breaker.is_open() {
+                monitor.record(&FaultEvent::BreakerSkippedVisit);
+                VisitRecovery {
+                    outcome: VisitError::Unreachable { site_down: true }.to_outcome(),
+                    attempts: 0,
+                    faults: Vec::new(),
+                    backoff_ms: 0.0,
+                    skipped_by_breaker: true,
+                }
+            } else {
+                visit_with_recovery(
+                    chaos,
+                    machine,
+                    site,
+                    site_down,
+                    v,
+                    &mut breaker,
+                    monitor,
+                    scratch,
+                )
+            };
+            outcomes.push(recovery.outcome.clone());
+            visits.push(recovery);
+        }
+
+        (
+            SiteResult::new(site, outcomes),
+            SiteRecovery {
+                domain: site.domain.clone(),
+                visits,
+                breaker_open: breaker.is_open(),
+            },
+        )
+    }
+
+    fn degraded(&self, site: &Site) -> Self::Row {
+        (
+            Plain.degraded(site),
+            SiteRecovery {
+                domain: site.domain.clone(),
+                visits: Vec::new(),
+                breaker_open: false,
+            },
+        )
+    }
 }
 
 /// One visit under the retry policy.
@@ -310,16 +246,15 @@ fn crawl_site(
 #[allow(clippy::too_many_arguments)]
 fn visit_with_recovery(
     chaos: &ChaosConfig,
+    machine: &Machine<'_>,
     site: &Site,
     site_down: bool,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
     visit_idx: u64,
     breaker: &mut CircuitBreaker,
     monitor: &mut FaultMonitor,
+    scratch: &mut ScenarioScratch,
 ) -> VisitRecovery {
-    let mut fault_ctx = machine_ctx.fork_visit(&site.domain, visit_idx);
+    let mut fault_ctx = machine.visit_ctx(site, visit_idx);
     let mut faults = Vec::new();
     let mut backoff_total = 0.0;
     let mut attempt: u32 = 0;
@@ -331,18 +266,19 @@ fn visit_with_recovery(
         } else {
             chaos.plan.draw(fault_ctx.stream("fault"))
         };
-        let mut ctx = machine_ctx.fork_visit(&site.domain, visit_idx);
+        let mut ctx = machine.visit_ctx(site, visit_idx);
         let result = simulate_visit_attempt(
             site,
-            client,
-            runtime,
+            machine.client,
+            machine.runtime,
             &mut ctx,
             injected,
             chaos.retry.visit_deadline_ms,
         );
 
         match result {
-            Ok(outcome) => {
+            Ok(mut outcome) => {
+                machine.drive_scenario(site, &mut outcome, &mut ctx, scratch);
                 breaker.record_success();
                 if attempt > 1 {
                     monitor.record(&FaultEvent::RecoveredAfterRetry { attempts: attempt });
@@ -412,7 +348,7 @@ fn visit_with_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{crawl_machine, run_campaign, SiteSource};
     use hlisa_web::PopulationConfig;
 
     fn small_config() -> CampaignConfig {
@@ -702,6 +638,60 @@ mod tests {
                 assert!(rec.breaker_open, "{} breaker should open", site.domain);
                 let skipped = rec.visits.iter().filter(|v| v.skipped_by_breaker).count();
                 assert_eq!(skipped, config.visits_per_site - threshold);
+            }
+        }
+    }
+
+    /// The population of the integration-level chaos properties.
+    fn shard_config(seed: u64, instances: usize) -> CampaignConfig {
+        CampaignConfig {
+            seed,
+            population: PopulationConfig {
+                n_sites: 24,
+                unreachable_sites: 2,
+                webdriver_visible: (1, 1, 0, 0),
+                template_visible: (1, 0, 0),
+                silent_http: (1, 1),
+                breakage_sites: 1,
+                ..PopulationConfig::default()
+            },
+            visits_per_site: 3,
+            instances,
+            world_cache: true,
+            plan_interactions: false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        /// Chaos mode under the shard-claiming scheduler: any
+        /// `(instances, shard size)` pair reproduces the serial faulted
+        /// run exactly — outcomes, recovery telemetry, and merged counters
+        /// — even though which worker claims which shard is
+        /// scheduling-dependent.
+        #[test]
+        fn faulted_chaos_is_independent_of_shard_claiming(
+            seed in 0u64..1_000_000,
+            instances in 2usize..6,
+            shard_size in 1usize..16,
+        ) {
+            let chaos = ChaosConfig::uniform(0.10);
+            let serial = run_chaos_campaign(&shard_config(seed, 1), &chaos);
+            let config = shard_config(seed, instances);
+            let runtime = hlisa_web::visit::DetectorRuntime::new();
+            let source = SiteSource::Slice {
+                sites: &serial.campaign.sites,
+                shard_size,
+            };
+            for (client, run, recovery) in [
+                (ClientKind::OpenWpm, &serial.campaign.openwpm, &serial.openwpm_recovery),
+                (ClientKind::OpenWpmSpoofed, &serial.campaign.spoofed, &serial.spoofed_recovery),
+            ] {
+                let (rows, workers) = crawl_machine(&config, &runtime, client, &source, &Chaos(&chaos));
+                let (sharded_run, sharded_recovery) = split_machine(client, rows, workers);
+                proptest::prop_assert_eq!(&sharded_run, run);
+                proptest::prop_assert_eq!(&sharded_recovery, recovery);
             }
         }
     }

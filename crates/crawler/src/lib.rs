@@ -22,14 +22,10 @@ pub mod screenshot;
 pub mod sink;
 
 pub use campaign::{
-    run_campaign, run_machine, run_machine_lazy, run_machine_planned, run_machine_shard_summaries,
-    run_machine_shard_summaries_persistent, run_machine_sharded, Campaign, CampaignConfig,
-    MachineRun, SiteResult,
+    run_campaign, run_machine, run_machine_planned, run_machine_shard_summaries,
+    run_machine_shard_summaries_persistent, Campaign, CampaignConfig, MachineRun, SiteResult,
 };
-pub use chaos::{
-    run_chaos_campaign, run_chaos_campaign_sharded, ChaosCampaign, ChaosConfig, MachineRecovery,
-    SiteRecovery,
-};
+pub use chaos::{run_chaos_campaign, ChaosCampaign, ChaosConfig, MachineRecovery, SiteRecovery};
 pub use http_analysis::{analyze_http, HttpReport};
 pub use recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
 pub use reliability::{

@@ -4,13 +4,15 @@
 //! Krumnow et al. ("Analysing and strengthening OpenWPM's reliability",
 //! PAPERS.md) show that real crawls silently lose data: instrumentation
 //! attaches late, observers drop events, and partial captures masquerade
-//! as clean records. This module reproduces that study on our own stack:
-//! [`run_captured_campaign`] executes the standard two-machine campaign
-//! but routes every visit's ground truth through an explicit capture
-//! pipeline (`hlisa_web::capture`), degraded per visit by a
-//! `hlisa_sim::LossSchedule` drawn from the `"fault"` stream family; and
-//! [`run_reliability_study`] runs the same seeded campaign under all
-//! three [`CaptureMode`]s and diffs the resulting Table 2 rows and
+//! as clean records. This module reproduces that study on our own stack.
+//! [`run_captured_campaign`] runs the standard two-machine campaign with
+//! the *captured* visit driver over the campaign module's one machine
+//! pass (see [`crate::campaign`]): each visit's ground truth is the plain
+//! driver's visit, scenario drive included, and is then routed through an
+//! explicit capture pipeline (`hlisa_web::capture`), degraded per visit by
+//! a `hlisa_sim::LossSchedule` drawn afterwards from the visit's `"fault"`
+//! stream. [`run_reliability_study`] runs the same seeded campaign under
+//! all three [`CaptureMode`]s and diffs the resulting Table 2 rows and
 //! recorder analytics into a [`DriftReport`] (per-metric relative error
 //! and conclusion flips).
 //!
@@ -26,17 +28,13 @@
 //!   naive-lossy campaigns drift at any positive rate.
 
 use crate::campaign::{
-    collect_results, machine_context, new_runtime, run_campaign, run_sharded, Campaign,
-    CampaignConfig, MachineRun, SiteResult, SiteSource,
+    run_two_machines, Campaign, CampaignConfig, Machine, MachineRun, Plain, SiteResult,
+    VisitDriver, VisitWorker,
 };
 use crate::screenshot::screenshot_table;
-use hlisa_sim::{
-    CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, SimContext, WriteAheadObserver,
-};
-use hlisa_web::visit::DetectorRuntime;
+use hlisa_sim::{CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, WriteAheadObserver};
 use hlisa_web::{
-    emit_capture_events, generate_population, CaptureRecorder, ClientKind, Site, VisitOutcome,
-    DEFAULT_SHARD_SIZE, DEFAULT_VISIT_DEADLINE_MS,
+    emit_capture_events, CaptureRecorder, Site, VisitOutcome, DEFAULT_VISIT_DEADLINE_MS,
 };
 
 /// How a campaign's capture pipeline handles the loss plane.
@@ -137,87 +135,43 @@ fn captured_visit(
     }
 }
 
-/// All visits of one site through the capture pipeline. Ground truth is
-/// produced exactly as `campaign::visit_site` produces it — same fork,
-/// same draw sequence — and the loss schedule is drawn *afterwards* from
-/// the visit context's `"fault"` stream, which the plain runner never
-/// touches; a no-op plan draws nothing at all. Both facts together make
-/// rate-0 captured campaigns bit-identical to `run_campaign`.
-#[allow(clippy::too_many_arguments)]
-fn captured_site(
-    config: &CampaignConfig,
-    site: &Site,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
-    plan: &LossPlan,
+/// The captured driver: the plain driver's truth for every visit, then
+/// the capture pipeline. The loss schedule is drawn *after* the truth
+/// from the visit context's `"fault"` stream, which the plain driver
+/// never touches, and a no-op plan draws nothing at all — together these
+/// make rate-0 captured campaigns bit-identical to `run_campaign`.
+struct Captured<'a> {
+    plan: &'a LossPlan,
     mode: CaptureMode,
-    acc: &mut CounterSet,
-) -> SiteResult {
-    let outcomes: Vec<VisitOutcome> = (0..config.visits_per_site)
-        .map(|v| {
-            let mut ctx = machine_ctx.fork_visit(&site.domain, v as u64);
-            let mut truth = hlisa_web::simulate_visit(site, client, runtime, &mut ctx);
-            if let Some(kind) = site.scenario {
-                crate::scenario::apply_scenario_drive(
-                    config.seed,
-                    site,
-                    kind,
-                    client,
-                    &mut truth,
-                    &mut ctx,
-                );
-            }
-            let schedule = plan.draw(ctx.stream("fault"));
-            captured_visit(site, &truth, schedule, mode, acc)
-        })
-        .collect();
-    SiteResult {
-        domain: site.domain.clone(),
-        rank: site.rank,
-        outcomes,
-    }
 }
 
-fn run_captured_machine(
-    config: &CampaignConfig,
-    sites: &[Site],
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    plan: &LossPlan,
-    mode: CaptureMode,
-) -> (MachineRun, CounterSet) {
-    let machine_ctx = machine_context(config, client);
-    let source = SiteSource::Slice {
-        sites,
-        shard_size: DEFAULT_SHARD_SIZE,
-    };
-    let (slots, states) = run_sharded(
-        config.instances,
-        &source,
-        &CounterSet::new,
-        &|acc: &mut CounterSet, _k, _base, shard_sites| {
-            shard_sites
-                .iter()
-                .map(|site| {
-                    captured_site(config, site, client, runtime, &machine_ctx, plan, mode, acc)
-                })
-                .collect::<Vec<SiteResult>>()
-        },
-    );
-    // Worker-state totals are partition-independent; sorting makes the
-    // merged set canonical whatever the claiming order was.
-    let mut analytics = CounterSet::new();
-    for state in &states {
-        analytics.merge(state);
+impl VisitDriver for Captured<'_> {
+    type Worker = (VisitWorker, CounterSet);
+    type Row = SiteResult;
+
+    fn worker(&self, config: &CampaignConfig) -> Self::Worker {
+        (Plain.worker(config), CounterSet::new())
     }
-    (
-        MachineRun {
-            client,
-            sites: collect_results(slots, &source),
-        },
-        analytics.sorted(),
-    )
+
+    fn visit_site(
+        &self,
+        machine: &Machine<'_>,
+        site: &Site,
+        (plain, acc): &mut Self::Worker,
+    ) -> SiteResult {
+        let outcomes = (0..machine.config.visits_per_site as u64)
+            .map(|v| {
+                let (truth, mut ctx) = plain.visit(machine, site, v);
+                let schedule = self.plan.draw(ctx.stream("fault"));
+                captured_visit(site, &truth, schedule, self.mode, acc)
+            })
+            .collect();
+        SiteResult::new(site, outcomes)
+    }
+
+    fn degraded(&self, site: &Site) -> SiteResult {
+        Plain.degraded(site)
+    }
 }
 
 /// Runs the standard two-machine campaign through the capture pipeline.
@@ -226,20 +180,20 @@ pub fn run_captured_campaign(
     plan: &LossPlan,
     mode: CaptureMode,
 ) -> CapturedCampaign {
-    let sites = generate_population(&config.population);
-    let runtime = new_runtime(config);
-    let (openwpm, a1) =
-        run_captured_machine(config, &sites, ClientKind::OpenWpm, &runtime, plan, mode);
-    let (spoofed, a2) = run_captured_machine(
+    // Worker-state totals are partition-independent; sorting makes the
+    // merged set canonical whatever the claiming order was.
+    let (sites, (openwpm, mut analytics), (spoofed, spoofed_analytics)) = run_two_machines(
         config,
-        &sites,
-        ClientKind::OpenWpmSpoofed,
-        &runtime,
-        plan,
-        mode,
+        &Captured { plan, mode },
+        |client, sites, workers| {
+            let mut analytics = CounterSet::new();
+            for (_, acc) in &workers {
+                analytics.merge(acc);
+            }
+            (MachineRun { client, sites }, analytics)
+        },
     );
-    let mut analytics = a1;
-    analytics.merge(&a2);
+    analytics.merge(&spoofed_analytics);
     CapturedCampaign {
         mode,
         campaign: Campaign {
@@ -410,12 +364,6 @@ pub fn run_reliability_study(config: &CampaignConfig, plan: &LossPlan) -> Reliab
     }
 }
 
-/// Convenience used by tests and the bench: the ground-truth campaign
-/// produced by the legacy runner, for diffing captured runs against.
-pub fn ground_truth_campaign(config: &CampaignConfig) -> Campaign {
-    run_campaign(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,7 +391,7 @@ mod tests {
     #[test]
     fn pristine_capture_records_the_ground_truth() {
         let config = study_config();
-        let truth = ground_truth_campaign(&config);
+        let truth = crate::campaign::run_campaign(&config);
         let captured = run_captured_campaign(&config, &LossPlan::none(), CaptureMode::Pristine);
         assert_eq!(captured.campaign, truth);
     }

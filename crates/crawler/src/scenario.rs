@@ -80,32 +80,12 @@ impl Default for ScenarioScratch {
 }
 
 /// Runs the scenario drive for one visit and overrides the screenshot
-/// verdict when the drive fails. Visits that never rendered normally
-/// (blocked, CAPTCHA'd, flaky, …) keep their original outcome: the
-/// scenario layer only refines *successful-looking* visits, so campaigns
-/// whose population assigns no scenarios are bit-identical.
-pub fn apply_scenario_drive(
-    campaign_seed: u64,
-    site: &Site,
-    kind: ScenarioKind,
-    client: ClientKind,
-    outcome: &mut VisitOutcome,
-    ctx: &mut SimContext,
-) {
-    let mut scratch = ScenarioScratch::new();
-    apply_scenario_drive_with(
-        campaign_seed,
-        site,
-        kind,
-        client,
-        outcome,
-        ctx,
-        &mut scratch,
-    );
-}
-
-/// Like [`apply_scenario_drive`], reusing a worker-retained
-/// [`ScenarioScratch`] — the campaign engine's per-worker form.
+/// verdict when the drive fails, reusing a worker-retained
+/// [`ScenarioScratch`]. Visits that never rendered normally (blocked,
+/// CAPTCHA'd, flaky, …) keep their original outcome: the scenario layer
+/// only refines *successful-looking* visits, so campaigns whose
+/// population assigns no scenarios are bit-identical. Every campaign
+/// driver runs it after its attempt, in the attempt's context.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_scenario_drive_with(
     campaign_seed: u64,
@@ -440,13 +420,15 @@ mod tests {
         let runtime = hlisa_web::visit::DetectorRuntime::new();
         let mut outcome = hlisa_web::simulate_visit(&site, ClientKind::OpenWpm, &runtime, &mut ctx);
         assert!(outcome.successful);
-        apply_scenario_drive(
+        let mut scratch = ScenarioScratch::new();
+        apply_scenario_drive_with(
             42,
             &site,
             ScenarioKind::CookieBanner,
             ClientKind::OpenWpm,
             &mut outcome,
             &mut ctx,
+            &mut scratch,
         );
         assert_eq!(outcome.visual, VisualOutcome::StuckOnOverlay);
 
@@ -454,13 +436,14 @@ mod tests {
         let mut blocked = outcome.clone();
         blocked.visual = VisualOutcome::BlockPage;
         let before = blocked.clone();
-        apply_scenario_drive(
+        apply_scenario_drive_with(
             42,
             &site,
             ScenarioKind::CookieBanner,
             ClientKind::OpenWpm,
             &mut blocked,
             &mut ctx,
+            &mut scratch,
         );
         assert_eq!(blocked, before);
     }

@@ -11,6 +11,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> perfbench self-tests (separate workspace; the main caller of the campaign runners)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 

@@ -1,20 +1,23 @@
 //! Chaos-mode invariants: the fault plane must never perturb what it does
 //! not touch.
 //!
-//! Two properties pin the PR's key guarantee (ISSUE 4): (a) with every
+//! Two properties pin the chaos driver's key guarantee: (a) with every
 //! fault rate at zero the chaos runner is bit-identical to the legacy
-//! campaign for *arbitrary* seeds and instance counts, and (b) retries
+//! campaign for *arbitrary* seeds, instance counts and scenario mixes,
+//! and (b) retries
 //! consume RNG from the `"fault"` stream only, so any visit that ends in
 //! success — first try or after recovery — records exactly the outcome
 //! the faultless campaign records at the same `(machine, site, visit)`.
 
-use hlisa_crawler::{
-    run_campaign, run_chaos_campaign, run_chaos_campaign_sharded, CampaignConfig, ChaosConfig,
-};
-use hlisa_web::PopulationConfig;
+use hlisa_crawler::{run_campaign, run_chaos_campaign, CampaignConfig, ChaosConfig};
+use hlisa_web::{PopulationConfig, ScenarioMix};
 use proptest::prelude::*;
 
 fn config(seed: u64, instances: usize) -> CampaignConfig {
+    scenario_config(seed, instances, ScenarioMix::default())
+}
+
+fn scenario_config(seed: u64, instances: usize, scenarios: ScenarioMix) -> CampaignConfig {
     CampaignConfig {
         seed,
         population: PopulationConfig {
@@ -24,6 +27,7 @@ fn config(seed: u64, instances: usize) -> CampaignConfig {
             template_visible: (1, 0, 0),
             silent_http: (1, 1),
             breakage_sites: 1,
+            scenarios,
             ..PopulationConfig::default()
         },
         visits_per_site: 3,
@@ -36,35 +40,25 @@ fn config(seed: u64, instances: usize) -> CampaignConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
+    /// The mix includes the all-zero one (no scenario sites) and mixes
+    /// whose dynamic pages run the post-attempt scenario drive.
     #[test]
     fn rate_zero_chaos_is_bit_identical_for_any_seed_and_schedule(
         seed in 0u64..1_000_000,
         instances in 1usize..5,
+        mix in (0usize..3, 0usize..3, 0usize..3),
     ) {
-        let cfg = config(seed, instances);
+        let cfg = scenario_config(seed, instances, ScenarioMix {
+            cookie_banner: mix.0,
+            lazy_content: mix.1,
+            spa_mutation: mix.2,
+        });
         let legacy = run_campaign(&cfg);
         let chaos = run_chaos_campaign(&cfg, &ChaosConfig::off());
         prop_assert_eq!(&chaos.campaign, &legacy);
         // And the no-op plan schedules nothing.
         prop_assert_eq!(chaos.counters().get("fault.injected"), None);
         prop_assert_eq!(chaos.counters().get("retry.scheduled"), None);
-    }
-
-    /// Chaos mode under the shard-claiming scheduler: any `(instances,
-    /// shard size)` pair reproduces the serial faulted run exactly —
-    /// outcomes, recovery telemetry, and merged counters — even though
-    /// which worker claims which shard is scheduling-dependent.
-    #[test]
-    fn faulted_chaos_is_independent_of_shard_claiming(
-        seed in 0u64..1_000_000,
-        instances in 2usize..6,
-        shard_size in 1usize..16,
-    ) {
-        let chaos = ChaosConfig::uniform(0.10);
-        let serial = run_chaos_campaign(&config(seed, 1), &chaos);
-        let sharded = run_chaos_campaign_sharded(&config(seed, instances), &chaos, shard_size);
-        prop_assert_eq!(&sharded, &serial);
-        prop_assert_eq!(sharded.counters(), serial.counters());
     }
 
     #[test]

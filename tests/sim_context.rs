@@ -4,7 +4,7 @@
 use hlisa::HlisaActionChains;
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig};
-use hlisa_crawler::{run_machine, run_machine_lazy, run_machine_sharded, CampaignConfig};
+use hlisa_crawler::{run_machine, run_machine_shard_summaries, CampaignConfig};
 use hlisa_detect::LiveInteractionMonitor;
 use hlisa_sim::SimContext;
 use hlisa_web::visit::DetectorRuntime;
@@ -101,8 +101,9 @@ proptest! {
 
     /// The shard-claiming scheduler is invisible in the output: any
     /// `(instances, shard size)` pair — one giant shard, one site per
-    /// shard, ragged tails, more workers than shards — and the lazy
-    /// shard-generated population all yield the serial run bit for bit.
+    /// shard, ragged tails, more workers than shards — over the lazy
+    /// shard-generated population, folded shard by shard, yields the
+    /// serial run bit for bit.
     #[test]
     fn run_machine_is_independent_of_shard_granularity_and_laziness(
         seed in 0u64..1_000,
@@ -125,12 +126,14 @@ proptest! {
         let serial = run_machine(&base, &sites, ClientKind::OpenWpmSpoofed);
 
         let wide = CampaignConfig { instances, ..base };
-        let sharded = run_machine_sharded(&wide, &sites, ClientKind::OpenWpmSpoofed, shard_size);
-        prop_assert_eq!(&sharded, &serial);
-
         let shards = hlisa_web::PopulationShards::with_shard_size(&wide.population, shard_size);
-        let lazy = run_machine_lazy(&wide, &shards, ClientKind::OpenWpmSpoofed);
-        prop_assert_eq!(&lazy, &serial);
+        let lazy = run_machine_shard_summaries(
+            &wide,
+            &shards,
+            ClientKind::OpenWpmSpoofed,
+            &|_, rows| rows,
+        );
+        prop_assert_eq!(&lazy.concat(), &serial.sites);
         // Laziness held under contention: never more live shards than
         // workers (a worker materialises one shard at a time).
         prop_assert!(shards.peak_resident_shards() <= instances);
