@@ -197,10 +197,18 @@ fn campaign_config(bench: &ParallelBenchConfig, instances: usize) -> CampaignCon
     }
 }
 
+/// The worker counts [`run`] sweeps for a requested `sweep`: sorted and
+/// deduplicated.
+fn swept_counts(sweep: &[usize]) -> Vec<usize> {
+    let mut counts = sweep.to_vec();
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
+
 /// Runs the whole sweep.
 pub fn run(mut config: ParallelBenchConfig) -> ParallelBenchReport {
-    config.instance_sweep.sort_unstable();
-    config.instance_sweep.dedup();
+    config.instance_sweep = swept_counts(&config.instance_sweep);
     let cores = available_cores();
     let population = PopulationConfig {
         n_sites: config.n_sites,
@@ -440,12 +448,10 @@ mod tests {
             shard_size: 32,
             instance_sweep: vec![1, 2, available_cores()],
         };
+        let expected = swept_counts(&cfg.instance_sweep);
         let report = run(cfg);
-        assert_eq!(report.sweep.len(), {
-            let mut s = vec![1, 2, available_cores()];
-            s.dedup();
-            s.len()
-        });
+        let swept: Vec<usize> = report.sweep.iter().map(|e| e.instances).collect();
+        assert_eq!(swept, expected);
         // The 1-worker entry is its own baseline.
         let first = &report.sweep[0];
         assert!((first.speedup_vs_1 - 1.0).abs() < 1e-9);

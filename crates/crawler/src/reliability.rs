@@ -4,17 +4,20 @@
 //! Krumnow et al. ("Analysing and strengthening OpenWPM's reliability",
 //! PAPERS.md) show that real crawls silently lose data: instrumentation
 //! attaches late, observers drop events, and partial captures masquerade
-//! as clean records. This module reproduces that study on our own stack.
-//! [`run_captured_campaign`] runs the standard two-machine campaign with
-//! the *captured* visit driver over the campaign module's one machine
-//! pass (see [`crate::campaign`]): each visit's ground truth is the plain
-//! driver's visit, scenario drive included, and is then routed through an
-//! explicit capture pipeline (`hlisa_web::capture`), degraded per visit by
-//! a `hlisa_sim::LossSchedule` drawn afterwards from the visit's `"fault"`
-//! stream. [`run_reliability_study`] runs the same seeded campaign under
-//! all three [`CaptureMode`]s and diffs the resulting Table 2 rows and
-//! recorder analytics into a [`DriftReport`] (per-metric relative error
-//! and conclusion flips).
+//! as clean records. This module reproduces that study on our own stack
+//! in one two-machine pass with the *captured* visit driver over the
+//! campaign module's machine pass (see [`crate::campaign`]). Each visit's
+//! ground truth is the plain driver's visit, scenario drive included; a
+//! `hlisa_sim::LossSchedule` is drawn once afterwards from the visit's
+//! `"fault"` stream, the truth is flattened once into capture events
+//! (`hlisa_web::capture`), and the same event slice is fed to one to
+//! three capture pipelines, one per requested [`CaptureMode`]. The
+//! pipelines' observers live as long as their worker and are reset per
+//! visit, so their counters are materialised once per worker.
+//! [`run_captured_campaign`] is that pass with one mode;
+//! [`run_reliability_study`] is the same pass with all three, diffing the
+//! resulting Table 2 rows and recorder analytics into a [`DriftReport`]
+//! (per-metric relative error and conclusion flips).
 //!
 //! Invariants pinned by `tests/reliability_loss.rs`:
 //!
@@ -34,7 +37,8 @@ use crate::campaign::{
 use crate::screenshot::screenshot_table;
 use hlisa_sim::{CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, WriteAheadObserver};
 use hlisa_web::{
-    emit_capture_events, CaptureRecorder, Site, VisitOutcome, DEFAULT_VISIT_DEADLINE_MS,
+    emit_capture_events, CaptureEvent, CaptureRecorder, ClientKind, Site, VisitOutcome,
+    DEFAULT_VISIT_DEADLINE_MS,
 };
 
 /// How a campaign's capture pipeline handles the loss plane.
@@ -79,99 +83,178 @@ pub struct CapturedCampaign {
     pub analytics: CounterSet,
 }
 
-/// One visit's trip through the capture pipeline: ground truth in,
-/// recorded outcome out, pipeline counters merged into `acc`.
-fn captured_visit(
-    site: &Site,
-    truth: &VisitOutcome,
-    schedule: LossSchedule,
-    mode: CaptureMode,
-    acc: &mut CounterSet,
-) -> VisitOutcome {
-    let events = emit_capture_events(site, truth, DEFAULT_VISIT_DEADLINE_MS);
-    match mode {
-        CaptureMode::Pristine => {
-            let mut recorder = CaptureRecorder::new();
-            for (t, e) in &events {
-                recorder.on_event(*t, e);
+/// One worker's capture pipeline for one [`CaptureMode`]. The observers
+/// live as long as the worker: each visit resets their per-visit state
+/// and keeps their plain tallies, so the pipeline's counters are
+/// materialised once per worker instead of once per visit.
+enum Pipeline {
+    Pristine(CaptureRecorder),
+    NaiveLossy(LossyObserver<CaptureRecorder>),
+    Strengthened(WriteAheadObserver<CaptureEvent, CaptureRecorder>),
+}
+
+impl Pipeline {
+    fn new(mode: CaptureMode) -> Self {
+        match mode {
+            CaptureMode::Pristine => Pipeline::Pristine(CaptureRecorder::new()),
+            CaptureMode::NaiveLossy => Pipeline::NaiveLossy(LossyObserver::new(
+                CaptureRecorder::new(),
+                LossSchedule::pristine(),
+                DEFAULT_VISIT_DEADLINE_MS,
+            )),
+            CaptureMode::Strengthened => {
+                Pipeline::Strengthened(WriteAheadObserver::detached(CaptureRecorder::new()))
             }
-            acc.merge(&recorder.counters());
-            recorder.outcome()
         }
-        CaptureMode::NaiveLossy => {
-            let mut lossy =
-                LossyObserver::new(CaptureRecorder::new(), schedule, DEFAULT_VISIT_DEADLINE_MS);
-            for (t, e) in &events {
-                lossy.on_event(*t, e);
+    }
+
+    /// One visit's trip through the pipeline: its emitted `events` in,
+    /// the recorded outcome out, the observers left ready for the next
+    /// visit.
+    fn record(&mut self, events: &[(f64, CaptureEvent)], schedule: LossSchedule) -> VisitOutcome {
+        match self {
+            Pipeline::Pristine(recorder) => {
+                for (t, e) in events {
+                    recorder.on_event(*t, e);
+                }
+                recorder.take_outcome()
             }
-            acc.merge(&lossy.counters());
-            lossy.inner().outcome()
+            Pipeline::NaiveLossy(lossy) => {
+                lossy.reset(schedule);
+                for (t, e) in events {
+                    lossy.on_event(*t, e);
+                }
+                lossy.inner_mut().take_outcome()
+            }
+            Pipeline::Strengthened(wal) => {
+                // Write-ahead capture sits at the emission site, upstream
+                // of the lossy channel, so dropout and partial capture
+                // cannot touch what it buffers. The attach barrier acks
+                // at the first event on or after the schedule's attach
+                // point; everything emitted before that replays from the
+                // buffer.
+                let attach_at_ms = schedule.attach_at * DEFAULT_VISIT_DEADLINE_MS;
+                let split = events
+                    .iter()
+                    .position(|(t, _)| *t >= attach_at_ms)
+                    .unwrap_or(events.len());
+                for (t, e) in &events[..split] {
+                    wal.on_event(*t, e);
+                }
+                wal.attach();
+                for (t, e) in &events[split..] {
+                    wal.on_event(*t, e);
+                }
+                let outcome = wal.inner_mut().take_outcome();
+                wal.detach();
+                outcome
+            }
         }
-        CaptureMode::Strengthened => {
-            // Write-ahead capture sits at the emission site, upstream of
-            // the lossy channel, so dropout and partial capture cannot
-            // touch what it buffers. The attach barrier acks when the
-            // schedule says instrumentation is wired; everything emitted
-            // before that replays from the buffer.
-            let mut wal = WriteAheadObserver::detached(CaptureRecorder::new());
-            let attach_at_ms = schedule.attach_at * DEFAULT_VISIT_DEADLINE_MS;
-            // The attach barrier acks at the first event on or after the
-            // schedule's attach point; everything before it buffers.
-            let split = events
-                .iter()
-                .position(|(t, _)| *t >= attach_at_ms)
-                .unwrap_or(events.len());
-            wal.reserve(split);
-            for (t, e) in &events[..split] {
-                wal.on_event(*t, e);
-            }
-            wal.attach();
-            for (t, e) in &events[split..] {
-                wal.on_event(*t, e);
-            }
-            acc.merge(&wal.counters());
-            wal.inner().outcome()
+    }
+
+    fn counters(&self) -> CounterSet {
+        match self {
+            Pipeline::Pristine(recorder) => recorder.counters(),
+            Pipeline::NaiveLossy(lossy) => lossy.counters(),
+            Pipeline::Strengthened(wal) => wal.counters(),
         }
     }
 }
 
 /// The captured driver: the plain driver's truth for every visit, then
-/// the capture pipeline. The loss schedule is drawn *after* the truth
-/// from the visit context's `"fault"` stream, which the plain driver
-/// never touches, and a no-op plan draws nothing at all — together these
-/// make rate-0 captured campaigns bit-identical to `run_campaign`.
-struct Captured<'a> {
+/// one capture pipeline per requested mode. Per visit the truth, the
+/// loss schedule and the emitted events are computed once and every
+/// pipeline records the same event slice. The schedule is drawn *after*
+/// the truth from the visit context's `"fault"` stream, which the plain
+/// driver never touches, and a no-op plan draws nothing at all —
+/// together these make rate-0 captured campaigns bit-identical to
+/// `run_campaign`.
+struct Captured<'a, const N: usize> {
     plan: &'a LossPlan,
-    mode: CaptureMode,
+    modes: [CaptureMode; N],
 }
 
-impl VisitDriver for Captured<'_> {
-    type Worker = (VisitWorker, CounterSet);
-    type Row = SiteResult;
+impl<const N: usize> VisitDriver for Captured<'_, N> {
+    type Worker = (VisitWorker, [Pipeline; N]);
+    type Row = [SiteResult; N];
 
     fn worker(&self, config: &CampaignConfig) -> Self::Worker {
-        (Plain.worker(config), CounterSet::new())
+        (Plain.worker(config), self.modes.map(Pipeline::new))
     }
 
     fn visit_site(
         &self,
         machine: &Machine<'_>,
         site: &Site,
-        (plain, acc): &mut Self::Worker,
-    ) -> SiteResult {
-        let outcomes = (0..machine.config.visits_per_site as u64)
-            .map(|v| {
-                let (truth, mut ctx) = plain.visit(machine, site, v);
-                let schedule = self.plan.draw(ctx.stream("fault"));
-                captured_visit(site, &truth, schedule, self.mode, acc)
-            })
-            .collect();
-        SiteResult::new(site, outcomes)
+        (plain, pipelines): &mut Self::Worker,
+    ) -> [SiteResult; N] {
+        let visits = machine.config.visits_per_site;
+        let mut outcomes = self.modes.map(|_| Vec::with_capacity(visits));
+        for v in 0..visits as u64 {
+            let (truth, mut ctx) = plain.visit(machine, site, v);
+            let schedule = self.plan.draw(ctx.stream("fault"));
+            let events = emit_capture_events(site, &truth, DEFAULT_VISIT_DEADLINE_MS);
+            for (pipeline, recorded) in pipelines.iter_mut().zip(&mut outcomes) {
+                recorded.push(pipeline.record(&events, schedule));
+            }
+        }
+        outcomes.map(|o| SiteResult::new(site, o))
     }
 
-    fn degraded(&self, site: &Site) -> SiteResult {
-        Plain.degraded(site)
+    fn degraded(&self, site: &Site) -> [SiteResult; N] {
+        self.modes.map(|_| Plain.degraded(site))
     }
+}
+
+/// The one captured two-machine pass: one population, one runtime and
+/// one set of visits, recorded through a pipeline per entry of `modes`.
+/// Returns one campaign per mode, in `modes` order.
+fn run_captured<const N: usize>(
+    config: &CampaignConfig,
+    plan: &LossPlan,
+    modes: [CaptureMode; N],
+) -> [CapturedCampaign; N] {
+    let (sites, m1, m2) = run_two_machines(
+        config,
+        &Captured { plan, modes },
+        |client, rows, workers| {
+            let mut runs = modes.map(|mode| {
+                let sites = Vec::with_capacity(rows.len());
+                (mode, MachineRun { client, sites }, CounterSet::new())
+            });
+            for row in rows {
+                for ((_, run, _), site) in runs.iter_mut().zip(row) {
+                    run.sites.push(site);
+                }
+            }
+            for (_, pipelines) in &workers {
+                for ((_, _, analytics), pipeline) in runs.iter_mut().zip(pipelines) {
+                    analytics.merge(&pipeline.counters());
+                }
+            }
+            runs
+        },
+    );
+    let mut captured = m1.map(|(mode, openwpm, analytics)| CapturedCampaign {
+        mode,
+        campaign: Campaign {
+            sites: sites.clone(),
+            openwpm,
+            spoofed: MachineRun {
+                client: ClientKind::OpenWpmSpoofed,
+                sites: Vec::new(),
+            },
+        },
+        analytics,
+    });
+    // Worker-state totals are partition-independent; sorting makes the
+    // merged set canonical whatever the claiming order was.
+    for (c, (_, spoofed, analytics)) in captured.iter_mut().zip(m2) {
+        c.campaign.spoofed = spoofed;
+        c.analytics.merge(&analytics);
+        c.analytics = c.analytics.sorted();
+    }
+    captured
 }
 
 /// Runs the standard two-machine campaign through the capture pipeline.
@@ -180,29 +263,8 @@ pub fn run_captured_campaign(
     plan: &LossPlan,
     mode: CaptureMode,
 ) -> CapturedCampaign {
-    // Worker-state totals are partition-independent; sorting makes the
-    // merged set canonical whatever the claiming order was.
-    let (sites, (openwpm, mut analytics), (spoofed, spoofed_analytics)) = run_two_machines(
-        config,
-        &Captured { plan, mode },
-        |client, sites, workers| {
-            let mut analytics = CounterSet::new();
-            for (_, acc) in &workers {
-                analytics.merge(acc);
-            }
-            (MachineRun { client, sites }, analytics)
-        },
-    );
-    analytics.merge(&spoofed_analytics);
-    CapturedCampaign {
-        mode,
-        campaign: Campaign {
-            sites,
-            openwpm,
-            spoofed,
-        },
-        analytics: analytics.sorted(),
-    }
+    let [captured] = run_captured(config, plan, [mode]);
+    captured
 }
 
 /// One metric's drift between the pristine and an observed campaign.
@@ -347,12 +409,19 @@ pub struct ReliabilityStudy {
     pub strengthened_drift: DriftReport,
 }
 
-/// Runs the same seeded campaign under all three capture modes and
-/// diffs the results — the Krumnow-style reliability comparison.
+/// Records one seeded campaign under all three capture modes in a
+/// single pass and diffs the results — the Krumnow-style reliability
+/// comparison.
 pub fn run_reliability_study(config: &CampaignConfig, plan: &LossPlan) -> ReliabilityStudy {
-    let pristine = run_captured_campaign(config, plan, CaptureMode::Pristine);
-    let naive = run_captured_campaign(config, plan, CaptureMode::NaiveLossy);
-    let strengthened = run_captured_campaign(config, plan, CaptureMode::Strengthened);
+    let [pristine, naive, strengthened] = run_captured(
+        config,
+        plan,
+        [
+            CaptureMode::Pristine,
+            CaptureMode::NaiveLossy,
+            CaptureMode::Strengthened,
+        ],
+    );
     let naive_drift = drift_report(&pristine, &naive);
     let strengthened_drift = drift_report(&pristine, &strengthened);
     ReliabilityStudy {

@@ -12,7 +12,9 @@
 //!   pipeline at rate 0 is bit-identical to today's runner;
 //! * **naive lossy drifts**: at any substantial loss rate the naively
 //!   captured campaign differs from ground truth while its records
-//!   still look like clean data.
+//!   still look like clean data;
+//! * **one pass == one pass per mode**: the study's three campaigns,
+//!   recorded from one set of visits, equal three one-mode runs.
 
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
 use hlisa_crawler::reliability::{run_captured_campaign, run_reliability_study, CaptureMode};
@@ -115,6 +117,24 @@ proptest! {
             with_plan.stream("fault").gen::<u64>(),
             without.stream("fault").gen::<u64>()
         );
+    }
+
+    /// The study records all three modes in one pass; each of its
+    /// campaigns, analytics included, equals the one-mode pass.
+    #[test]
+    fn study_equals_one_captured_campaign_per_mode(
+        config in arb_config(),
+        rate in 0.0f64..1.0,
+    ) {
+        let plan = LossPlan::uniform(rate);
+        let study = run_reliability_study(&config, &plan);
+        for (mode, captured) in [
+            (CaptureMode::Pristine, &study.pristine),
+            (CaptureMode::NaiveLossy, &study.naive),
+            (CaptureMode::Strengthened, &study.strengthened),
+        ] {
+            prop_assert_eq!(captured, &run_captured_campaign(&config, &plan, mode));
+        }
     }
 
     /// At substantial loss rates the naive pipeline's record differs

@@ -560,13 +560,7 @@ impl<'a> Analyzer<'a> {
             }
             ItemKind::Impl(i) => {
                 self.scan_run(&i.header, in_test);
-                let label = i
-                    .header
-                    .tokens
-                    .iter()
-                    .find_map(|t| t.ident())
-                    .unwrap_or("impl")
-                    .to_string();
+                let label = impl_label(&i.header.tokens).unwrap_or("impl").to_string();
                 self.fn_stack.push(label);
                 for it in &i.items {
                     self.walk_item(it, in_test);
@@ -1189,6 +1183,28 @@ fn leading_num(e: &Expr) -> bool {
     }
 }
 
+/// The first identifier of an impl header after its generic parameter
+/// list, so `impl<const N: usize> Trait for T<N>` is labelled `Trait`,
+/// not `const`.
+fn impl_label(header: &[Token]) -> Option<&str> {
+    let mut depth = 0i32;
+    let mut rest = header.iter();
+    if header.first().is_some_and(|t| t.is_punct("<")) {
+        for t in rest.by_ref() {
+            depth += match t.punct() {
+                Some("<") => 1,
+                Some(">") => -1,
+                Some(">>") => -2,
+                _ => 0,
+            };
+            if depth <= 0 {
+                break;
+            }
+        }
+    }
+    rest.find_map(|t| t.ident())
+}
+
 /// The single identifier a `let` pattern binds, when it is that simple
 /// (`x`, `mut x`, `ref mut x`); `None` for destructuring patterns.
 fn single_binding(pat: &TokenRun) -> Option<String> {
@@ -1390,6 +1406,29 @@ mod tests {
         assert!(rules_of(good).is_empty());
         let outside = "fn f(ctx: &mut SimContext) {\n let child = ctx.fork(\"page-graph\", 0);\n}";
         assert!(rules_of(outside).is_empty());
+    }
+
+    #[test]
+    fn generic_impls_are_labelled_by_their_trait_not_their_parameters() {
+        let functions = |src: &str| -> Vec<String> {
+            collect_stream_sites(&AstAnalysis::of(src))
+                .into_iter()
+                .map(|s| s.function)
+                .collect()
+        };
+        let body = "{ fn v(&self, c: &mut SimContext) { c.stream(\"fault\"); } }";
+        for header in [
+            "impl Driver for Plain ",
+            "impl<'a> Driver for Held<'a> ",
+            "impl<const N: usize> Driver for Many<'_, N> ",
+            "impl<E, O: Observer<E>> Driver for Wrap<E, O> ",
+        ] {
+            assert_eq!(
+                functions(&format!("{header}{body}")),
+                ["Driver::v"],
+                "{header}"
+            );
+        }
     }
 
     #[test]

@@ -445,6 +445,10 @@ pub struct LossyObserver<O> {
     inner: O,
     schedule: LossSchedule,
     span_ms: f64,
+    // The partial-capture hash index of the next event: per visit, so it
+    // restarts at 0 on every `reset`, while the tallies below keep
+    // running across visits.
+    visit_index: u64,
     offered: u64,
     delivered: u64,
     // One tally per LossKind::ALL entry, materialized as
@@ -462,15 +466,31 @@ impl<O> LossyObserver<O> {
             inner,
             schedule,
             span_ms,
+            visit_index: 0,
             offered: 0,
             delivered: 0,
             dropped: [0; LossKind::ALL.len()],
         }
     }
 
+    /// Starts the next visit behind `schedule`. The per-visit event
+    /// index restarts at 0, so the channel drops exactly what a fresh
+    /// observer would; the `loss.*` tallies keep running. The inner
+    /// observer is not touched — reset it through
+    /// [`inner_mut`](Self::inner_mut).
+    pub fn reset(&mut self, schedule: LossSchedule) {
+        self.schedule = schedule;
+        self.visit_index = 0;
+    }
+
     /// The degraded observer behind the channel.
     pub fn inner(&self) -> &O {
         &self.inner
+    }
+
+    /// The degraded observer behind the channel, mutably.
+    pub fn inner_mut(&mut self) -> &mut O {
+        &mut self.inner
     }
 
     /// Unwraps the degraded observer.
@@ -481,7 +501,8 @@ impl<O> LossyObserver<O> {
 
 impl<E, O: Observer<E>> Observer<E> for LossyObserver<O> {
     fn on_event(&mut self, t_ms: f64, event: &E) {
-        let index = self.offered;
+        let index = self.visit_index;
+        self.visit_index += 1;
         self.offered += 1;
         let at_fraction = if self.span_ms > 0.0 {
             (t_ms / self.span_ms).clamp(0.0, 1.0)
@@ -563,12 +584,6 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
         self.attached
     }
 
-    /// Pre-sizes the write-ahead buffer for a caller that knows how many
-    /// events will arrive before the attach barrier acks.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buffer.reserve(additional);
-    }
-
     /// Acks the attach barrier: replays every buffered event into the
     /// inner observer, in emission order, then switches to pass-through.
     pub fn attach(&mut self) {
@@ -583,9 +598,23 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
         self.buffer.clear();
     }
 
+    /// Starts the next visit with the instrumentation detached again.
+    /// Anything still buffered is replayed first, so no event is ever
+    /// lost; the `capture.*` tallies keep running and the buffer keeps
+    /// its capacity.
+    pub fn detach(&mut self) {
+        self.attach();
+        self.attached = false;
+    }
+
     /// The observer behind the write-ahead buffer.
     pub fn inner(&self) -> &O {
         &self.inner
+    }
+
+    /// The observer behind the write-ahead buffer, mutably.
+    pub fn inner_mut(&mut self) -> &mut O {
+        &mut self.inner
     }
 
     /// Unwraps the inner observer, attaching first so no buffered event
@@ -985,6 +1014,98 @@ mod tests {
         wal.on_event(0.0, &FaultEvent::BreakerTripped);
         let inner = wal.into_inner();
         assert_eq!(inner.counters().get("breaker.tripped"), Some(1));
+    }
+
+    /// Logs every delivered event.
+    #[derive(Default)]
+    struct Log {
+        seen: Vec<u64>,
+    }
+
+    impl Observer<u64> for Log {
+        fn on_event(&mut self, _t_ms: f64, event: &u64) {
+            self.seen.push(*event);
+        }
+
+        fn counters(&self) -> CounterSet {
+            let mut c = CounterSet::new();
+            c.add("log.events", self.seen.len() as u64);
+            c
+        }
+    }
+
+    /// Per visit: a loss schedule drawn at a harsh rate and its events
+    /// (0 to 23, payloads unique across visits) spread over a 100 ms span.
+    fn visits() -> Vec<(LossSchedule, Vec<(f64, u64)>)> {
+        let plan = LossPlan::uniform(0.6);
+        let mut ctx = SimContext::new(29);
+        (0..40u64)
+            .map(|v| {
+                let schedule = plan.draw(ctx.stream("fault"));
+                let n = (v * 7) % 24;
+                let events = (0..n).map(|i| (100.0 * i as f64 / n as f64, v * 100 + i));
+                (schedule, events.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_lossy_observer_drops_what_fresh_ones_drop() {
+        let mut reused = LossyObserver::new(Log::default(), LossSchedule::pristine(), 100.0);
+        let mut fresh_seen = Vec::new();
+        let mut merged = CounterSet::new();
+        for (schedule, events) in visits() {
+            reused.reset(schedule);
+            let mut fresh = LossyObserver::new(Log::default(), schedule, 100.0);
+            for (t, e) in &events {
+                reused.on_event(*t, e);
+                fresh.on_event(*t, e);
+            }
+            merged.merge(&fresh.counters());
+            fresh_seen.extend(fresh.into_inner().seen);
+        }
+        assert_eq!(reused.inner().seen, fresh_seen);
+        assert!(merged.get("loss.dropped.partial_capture").unwrap_or(0) > 0);
+        assert_eq!(reused.counters().sorted(), merged.sorted());
+    }
+
+    #[test]
+    fn redetached_write_ahead_observer_replays_what_fresh_ones_replay() {
+        let mut reused = WriteAheadObserver::detached(Log::default());
+        let mut fresh_seen = Vec::new();
+        let mut merged = CounterSet::new();
+        for (schedule, events) in visits() {
+            let mut fresh = WriteAheadObserver::detached(Log::default());
+            let split = events
+                .iter()
+                .position(|(t, _)| *t >= schedule.attach_at * 100.0)
+                .unwrap_or(events.len());
+            for wal in [&mut reused, &mut fresh] {
+                for (t, e) in &events[..split] {
+                    wal.on_event(*t, e);
+                }
+                wal.attach();
+                for (t, e) in &events[split..] {
+                    wal.on_event(*t, e);
+                }
+            }
+            reused.detach();
+            assert!(!reused.is_attached());
+            merged.merge(&fresh.counters());
+            fresh_seen.extend(fresh.into_inner().seen);
+        }
+        assert_eq!(reused.inner().seen, fresh_seen);
+        assert!(merged.get("capture.replayed").unwrap_or(0) > 0);
+        assert_eq!(reused.counters().sorted(), merged.sorted());
+    }
+
+    #[test]
+    fn detach_replays_anything_still_buffered() {
+        let mut wal = WriteAheadObserver::detached(FaultMonitor::new());
+        wal.on_event(0.0, &FaultEvent::BreakerTripped);
+        wal.detach();
+        assert_eq!(wal.inner().counters().get("breaker.tripped"), Some(1));
+        assert!(!wal.is_attached());
     }
 
     #[test]

@@ -199,6 +199,22 @@ impl CaptureRecorder {
             detected: self.detected,
         }
     }
+
+    /// The visit's [`outcome`](Self::outcome), then a reset for the next
+    /// visit: the per-visit record clears while the `recorder.*` tallies
+    /// keep running, so one recorder can serve a worker's whole shard
+    /// stream. The outcome's party vectors are exact-size clones and the
+    /// recorder's own buffers keep their capacity for the next visit.
+    pub fn take_outcome(&mut self) -> VisitOutcome {
+        let outcome = self.outcome();
+        self.saw_any = false;
+        self.completed = false;
+        self.detected = false;
+        self.visual = None;
+        self.first_party.clear();
+        self.third_party.clear();
+        outcome
+    }
 }
 
 impl Observer<CaptureEvent> for CaptureRecorder {
@@ -355,6 +371,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn one_recorder_taken_per_visit_matches_fresh_recorders() {
+        let sites = generate_population(&PopulationConfig {
+            n_sites: 60,
+            unreachable_sites: 5,
+            ..PopulationConfig::default()
+        });
+        let rt = DetectorRuntime::new();
+        let mut ctx = SimContext::new(17);
+        let mut reused = CaptureRecorder::new();
+        let mut merged = CounterSet::new();
+        for site in &sites {
+            let truth = simulate_visit(site, ClientKind::OpenWpm, &rt, &mut ctx);
+            let events = emit_capture_events(site, &truth, DEFAULT_VISIT_DEADLINE_MS);
+            let mut fresh = CaptureRecorder::new();
+            for (t, e) in &events {
+                reused.on_event(*t, e);
+                fresh.on_event(*t, e);
+            }
+            assert_eq!(reused.take_outcome(), fresh.outcome(), "{}", site.domain);
+            merged.merge(&fresh.counters());
+        }
+        assert!(merged.get("recorder.http").unwrap_or(0) > 0);
+        assert_eq!(reused.counters().sorted(), merged.sorted());
+        // Taking the outcome left a recorder that has seen nothing.
+        assert_eq!(reused.outcome(), VisitOutcome::unreached());
     }
 
     #[test]
