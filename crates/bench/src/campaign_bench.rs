@@ -12,17 +12,16 @@
 //!    world-snapshot cache off (the pre-optimization cost model: one
 //!    fresh world build per visit) and on (stamped worlds).
 //!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read.
 
+use crate::harness::{timed, Comparison, Object, Report};
 use hlisa_crawler::campaign::{run_campaign, Campaign, CampaignConfig};
 use hlisa_jsom::object::JsObject;
 use hlisa_jsom::realm::Realm;
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, LinearObject, PropertyDescriptor, Value};
 use hlisa_web::{PopulationConfig, WorldSnapshot};
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
@@ -59,34 +58,6 @@ impl BenchConfig {
     }
 }
 
-/// One before/after pair with derived rates.
-#[derive(Debug, Clone, Copy)]
-pub struct Comparison {
-    /// Operations timed on each side.
-    pub ops: u64,
-    /// Baseline (pre-optimization) elapsed seconds.
-    pub baseline_s: f64,
-    /// Optimized elapsed seconds.
-    pub optimized_s: f64,
-}
-
-impl Comparison {
-    /// Baseline operations per second.
-    pub fn baseline_rate(&self) -> f64 {
-        self.ops as f64 / self.baseline_s.max(1e-12)
-    }
-
-    /// Optimized operations per second.
-    pub fn optimized_rate(&self) -> f64 {
-        self.ops as f64 / self.optimized_s.max(1e-12)
-    }
-
-    /// Throughput ratio (optimized / baseline).
-    pub fn speedup(&self) -> f64 {
-        self.baseline_s / self.optimized_s.max(1e-12)
-    }
-}
-
 /// The full benchmark result.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -100,12 +71,6 @@ pub struct BenchReport {
     pub campaign_visits: u64,
     /// Fresh-built-worlds campaign vs snapshot-stamped campaign.
     pub campaign: Comparison,
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 fn bench_world(iters: u32) -> Comparison {
@@ -228,76 +193,29 @@ pub fn run(config: BenchConfig) -> BenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn comparison_json(c: &Comparison, unit: &str) -> String {
-    format!(
-        concat!(
-            "{{\"ops\": {}, \"unit\": \"{}\", \"baseline_s\": {}, \"optimized_s\": {}, ",
-            "\"baseline_per_sec\": {}, \"optimized_per_sec\": {}, \"speedup\": {}}}"
-        ),
-        c.ops,
-        unit,
-        json_num(c.baseline_s),
-        json_num(c.optimized_s),
-        json_num(c.baseline_rate()),
-        json_num(c.optimized_rate()),
-        json_num(c.speedup()),
-    )
-}
-
 impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is three flat objects).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa campaign throughput (atoms/shapes/snapshots)\",\n",
-                "  \"config\": {{\"world_iters\": {}, \"lookup_iters\": {}, ",
-                "\"campaign_sites\": {}, \"visits_per_site\": {}}},\n",
-                "  \"world_acquisition\": {},\n",
-                "  \"property_lookup\": {},\n",
-                "  \"campaign\": {}\n",
-                "}}\n"
-            ),
-            self.config.world_iters,
-            self.config.lookup_iters,
-            self.config.campaign_sites,
-            self.config.visits_per_site,
-            comparison_json(&self.world, "worlds"),
-            comparison_json(&self.lookup, "lookups"),
-            comparison_json(&self.campaign, "visits"),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, c: &Comparison| {
-            format!(
-                "{label:<18} {:>12.0}/s -> {:>12.0}/s   ({:.1}x)\n",
-                c.baseline_rate(),
-                c.optimized_rate(),
-                c.speedup()
+    /// The report, field by field, as `BENCH_campaign.json` lays it out.
+    pub fn fields(&self) -> Report {
+        let c = &self.config;
+        Report::new("hlisa campaign throughput (atoms/shapes/snapshots)")
+            .object(
+                "config",
+                Object::new()
+                    .int("world_iters", c.world_iters.into())
+                    .int("lookup_iters", c.lookup_iters.into())
+                    .int("campaign_sites", c.campaign_sites as u64)
+                    .int("visits_per_site", c.visits_per_site as u64),
             )
-        };
-        let mut out = String::from("campaign throughput benchmark (baseline -> optimized)\n");
-        out.push_str(&row("world acquisition", &self.world));
-        out.push_str(&row("property lookup", &self.lookup));
-        out.push_str(&row("campaign visits", &self.campaign));
-        out
+            .object("world_acquisition", self.world.section("worlds"))
+            .object("property_lookup", self.lookup.section("lookups"))
+            .object("campaign", self.campaign.section("visits"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed() {
@@ -309,28 +227,6 @@ mod tests {
         cfg.visits_per_site = 2;
         let report = run(cfg);
         assert_eq!(report.campaign_visits, 2 * 10 * 2);
-        let json = report.to_json();
-        for field in [
-            "\"world_acquisition\"",
-            "\"property_lookup\"",
-            "\"campaign\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        let human = report.render_human();
-        assert!(human.contains("campaign visits"));
-    }
-
-    #[test]
-    fn comparison_rates_and_speedup() {
-        let c = Comparison {
-            ops: 100,
-            baseline_s: 10.0,
-            optimized_s: 2.0,
-        };
-        assert!((c.baseline_rate() - 10.0).abs() < 1e-9);
-        assert!((c.optimized_rate() - 50.0).abs() < 1e-9);
-        assert!((c.speedup() - 5.0).abs() < 1e-9);
+        schema::assert_matches_baseline(&report.fields(), "campaign", &[]);
     }
 }

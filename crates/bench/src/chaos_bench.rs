@@ -2,24 +2,24 @@
 //!
 //! Two measurements, emitted as `BENCH_chaos.json`:
 //!
-//! 1. **Rate-0 overhead** — the legacy runner vs the chaos runner with
-//!    [`ChaosConfig::off`]. The outputs are asserted bit-identical (the
-//!    PR's key invariant), so the comparison isolates the pure plumbing
-//!    cost of the fault plane when nothing is injected.
+//! 1. **Rate-0 overhead** — [`run_campaign`] vs the chaos runner with
+//!    [`ChaosConfig::off`]. Both are visit drivers over the same machine
+//!    pass; their outputs are asserted bit-identical, so the comparison
+//!    isolates the pure plumbing cost of the fault plane when nothing is
+//!    injected.
 //! 2. **Faulted throughput** — visits/sec at a 5% uniform per-visit
 //!    fault rate with the default retry/breaker policy, plus the
 //!    resulting `fault.*` / `retry.*` / `breaker.*` counters (asserted
 //!    reproducible across the two timed runs).
 //!
-//! Timing reads the wall clock on purpose, like the other benches: the
-//! numbers feed a JSON report, never a simulated observable.
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read.
 
-use crate::campaign_bench::Comparison;
+use crate::harness::{timed, Comparison, Object, Report};
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
 use hlisa_crawler::chaos::{run_chaos_campaign, ChaosConfig};
 use hlisa_sim::CounterSet;
 use hlisa_web::PopulationConfig;
-use std::time::Duration;
 
 /// The per-visit fault rate the faulted side runs at.
 pub const FAULT_RATE: f64 = 0.05;
@@ -58,8 +58,8 @@ pub struct ChaosBenchReport {
     pub config: ChaosBenchConfig,
     /// Visits per campaign side (2 machines × sites × visits).
     pub campaign_visits: u64,
-    /// Legacy runner (baseline) vs rate-0 chaos runner (optimized):
-    /// `speedup` near 1.0 means the fault plane is free when off.
+    /// [`run_campaign`] (baseline) vs rate-0 chaos runner (optimized):
+    /// `overhead_ratio` near 1.0 means the fault plane is free when off.
     pub rate_zero: Comparison,
     /// Elapsed seconds for the 5%-fault campaign.
     pub faulted_s: f64,
@@ -68,12 +68,6 @@ pub struct ChaosBenchReport {
     pub faulted_attempts: u64,
     /// The faulted run's fault/retry/breaker counters.
     pub counters: CounterSet,
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 fn campaign_config(bench: &ChaosBenchConfig) -> CampaignConfig {
@@ -135,84 +129,51 @@ pub fn run(config: ChaosBenchConfig) -> ChaosBenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl ChaosBenchReport {
     /// Visits/sec of the faulted run.
     pub fn faulted_rate(&self) -> f64 {
         self.campaign_visits as f64 / self.faulted_s.max(1e-12)
     }
 
-    /// Serializes the report (hand-rolled, like the campaign bench: the
-    /// workspace vendors no JSON writer).
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
+    /// The report, field by field, as `BENCH_chaos.json` lays it out.
+    /// The rate-0 side names keep the committed baseline's schema.
+    pub fn fields(&self) -> Report {
+        let counters = self
             .counters
             .entries()
             .iter()
-            .map(|(name, value)| format!("\"{name}\": {value}"))
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa chaos-mode campaign (fault plane + recovery)\",\n",
-                "  \"config\": {{\"campaign_sites\": {}, \"visits_per_site\": {}, ",
-                "\"fault_rate\": {}}},\n",
-                "  \"rate_zero_overhead\": {{\"ops\": {}, \"unit\": \"visits\", ",
-                "\"legacy_s\": {}, \"chaos_off_s\": {}, \"legacy_per_sec\": {}, ",
-                "\"chaos_off_per_sec\": {}, \"overhead_ratio\": {}}},\n",
-                "  \"faulted\": {{\"ops\": {}, \"unit\": \"visits\", \"attempts\": {}, ",
-                "\"elapsed_s\": {}, \"visits_per_sec\": {}}},\n",
-                "  \"counters\": {{{}}}\n",
-                "}}\n"
-            ),
-            self.config.campaign_sites,
-            self.config.visits_per_site,
-            json_num(FAULT_RATE),
-            self.rate_zero.ops,
-            json_num(self.rate_zero.baseline_s),
-            json_num(self.rate_zero.optimized_s),
-            json_num(self.rate_zero.baseline_rate()),
-            json_num(self.rate_zero.optimized_rate()),
-            json_num(self.rate_zero.optimized_s / self.rate_zero.baseline_s.max(1e-12)),
-            self.campaign_visits,
-            self.faulted_attempts,
-            json_num(self.faulted_s),
-            json_num(self.faulted_rate()),
-            counters.join(", "),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let mut out = String::from("chaos-mode campaign benchmark\n");
-        out.push_str(&format!(
-            "rate-0 overhead    {:>12.0}/s -> {:>12.0}/s   (x{:.2} elapsed)\n",
-            self.rate_zero.baseline_rate(),
-            self.rate_zero.optimized_rate(),
-            self.rate_zero.optimized_s / self.rate_zero.baseline_s.max(1e-12),
-        ));
-        out.push_str(&format!(
-            "5% faults          {:>12.0} visits/s over {} attempts\n",
-            self.faulted_rate(),
-            self.faulted_attempts,
-        ));
-        for (name, value) in self.counters.entries() {
-            out.push_str(&format!("  {name:<28} {value}\n"));
-        }
-        out
+            .fold(Object::new(), |o, (name, value)| o.int(name, *value));
+        Report::new("hlisa chaos-mode campaign (fault plane + recovery)")
+            .object(
+                "config",
+                Object::new()
+                    .int("campaign_sites", self.config.campaign_sites as u64)
+                    .int("visits_per_site", self.config.visits_per_site as u64)
+                    .num("fault_rate", FAULT_RATE),
+            )
+            .object(
+                "rate_zero_overhead",
+                self.rate_zero
+                    .sides("visits", "legacy", "chaos_off")
+                    .num("overhead_ratio", self.rate_zero.overhead_ratio()),
+            )
+            .object(
+                "faulted",
+                Object::new()
+                    .int("ops", self.campaign_visits)
+                    .str("unit", "visits")
+                    .int("attempts", self.faulted_attempts)
+                    .num("elapsed_s", self.faulted_s)
+                    .num("visits_per_sec", self.faulted_rate()),
+            )
+            .object("counters", counters)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed() {
@@ -226,16 +187,6 @@ mod tests {
                 >= report.campaign_visits
                     - report.counters.get("breaker.skipped_visits").unwrap_or(0)
         );
-        let json = report.to_json();
-        for field in [
-            "\"rate_zero_overhead\"",
-            "\"faulted\"",
-            "\"counters\"",
-            "\"overhead_ratio\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        let human = report.render_human();
-        assert!(human.contains("rate-0 overhead"));
+        schema::assert_matches_baseline(&report.fields(), "chaos", &["counters"]);
     }
 }

@@ -26,11 +26,10 @@
 //!    (`*_rescan`) vs the incrementally-maintained views the recorder now
 //!    serves as slices, over a realistic multi-thousand-event trace.
 //!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read.
 
-pub use crate::campaign_bench::Comparison;
+use crate::harness::{timed, Comparison, Object, Report};
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig, Document, ElementBuilder, EventRecorder, Point, Rect};
 use hlisa_human::cursor;
@@ -39,7 +38,6 @@ use hlisa_human::{HumanAgent, HumanParams, VisitPlanner};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::splitmix64;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
@@ -98,12 +96,6 @@ pub struct BenchReport {
     pub trace_events: u64,
     /// Full-rescan analytics vs incremental views.
     pub recorder: Comparison,
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 /// A listing-like page: a full-page body plus a lattice of row boxes, the
@@ -435,89 +427,34 @@ pub fn run(config: BenchConfig) -> BenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn comparison_json(c: &Comparison, unit: &str) -> String {
-    format!(
-        concat!(
-            "{{\"ops\": {}, \"unit\": \"{}\", \"baseline_s\": {}, \"optimized_s\": {}, ",
-            "\"baseline_per_sec\": {}, \"optimized_per_sec\": {}, \"speedup\": {}}}"
-        ),
-        c.ops,
-        unit,
-        json_num(c.baseline_s),
-        json_num(c.optimized_s),
-        json_num(c.baseline_rate()),
-        json_num(c.optimized_rate()),
-        json_num(c.speedup()),
-    )
-}
-
 impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is three flat objects).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa interaction fast path ",
-                "(hit test/trajectory/batch plan/recorder)\",\n",
-                "  \"config\": {{\"hit_elements\": {}, \"hit_passes\": {}, ",
-                "\"traj_moves\": {}, \"plan_visits\": {}, \"query_iters\": {}}},\n",
-                "  \"trace_events\": {},\n",
-                "  \"plan_arenas_grown\": {},\n",
-                "  \"hit_test\": {},\n",
-                "  \"trajectory_synthesis\": {},\n",
-                "  \"batch_plan\": {},\n",
-                "  \"recorder_queries\": {}\n",
-                "}}\n"
-            ),
-            self.config.hit_elements,
-            self.config.hit_passes,
-            self.config.traj_moves,
-            self.config.plan_visits,
-            self.config.query_iters,
-            self.trace_events,
-            self.plan_arenas_grown,
-            comparison_json(&self.hit_test, "probes"),
-            comparison_json(&self.trajectory, "movements"),
-            comparison_json(&self.batch_plan, "visits"),
-            comparison_json(&self.recorder, "queries"),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, c: &Comparison| {
-            format!(
-                "{label:<18} {:>12.0}/s -> {:>12.0}/s   ({:.1}x)\n",
-                c.baseline_rate(),
-                c.optimized_rate(),
-                c.speedup()
+    /// The report, field by field, as `BENCH_interaction.json` lays it
+    /// out.
+    pub fn fields(&self) -> Report {
+        let c = &self.config;
+        Report::new("hlisa interaction fast path (hit test/trajectory/batch plan/recorder)")
+            .object(
+                "config",
+                Object::new()
+                    .int("hit_elements", c.hit_elements as u64)
+                    .int("hit_passes", c.hit_passes.into())
+                    .int("traj_moves", c.traj_moves.into())
+                    .int("plan_visits", c.plan_visits.into())
+                    .int("query_iters", c.query_iters.into()),
             )
-        };
-        let mut out = String::from("interaction fast-path benchmark (baseline -> optimized)\n");
-        out.push_str(&row("hit testing", &self.hit_test));
-        out.push_str(&row("trajectory synth", &self.trajectory));
-        out.push_str(&row("batch plan", &self.batch_plan));
-        out.push_str(&format!(
-            "{:<18} {} arenas grew during the timed loop\n",
-            "  steady state", self.plan_arenas_grown
-        ));
-        out.push_str(&row("recorder queries", &self.recorder));
-        out
+            .int("trace_events", self.trace_events)
+            .int("plan_arenas_grown", self.plan_arenas_grown)
+            .object("hit_test", self.hit_test.section("probes"))
+            .object("trajectory_synthesis", self.trajectory.section("movements"))
+            .object("batch_plan", self.batch_plan.section("visits"))
+            .object("recorder_queries", self.recorder.section("queries"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed() {
@@ -538,20 +475,7 @@ mod tests {
             report.plan_arenas_grown, 0,
             "batch planner allocated in steady state"
         );
-        let json = report.to_json();
-        for field in [
-            "\"hit_test\"",
-            "\"trajectory_synthesis\"",
-            "\"batch_plan\"",
-            "\"plan_arenas_grown\"",
-            "\"recorder_queries\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        let human = report.render_human();
-        assert!(human.contains("recorder queries"));
-        assert!(human.contains("batch plan"));
+        schema::assert_matches_baseline(&report.fields(), "interaction", &[]);
     }
 
     #[test]

@@ -15,6 +15,21 @@
 //! | Table 4 / Appendix G (tool comparison) | [`table4`] | `table4` |
 //! | Appendix C/D (events & granularity) | [`appendix_d`] | `appendix_d` |
 //! | Design-choice ablations | [`ablations`] | `ablations` |
+//!
+//! The component benches share one harness ([`harness`]: the only
+//! wall-clock read, the one [`harness::Comparison`], one report writer)
+//! and one binary, `bench <name> [--smoke] [--out PATH]`, which writes
+//! `BENCH_<name>.json` (`BENCH_<name>.smoke.json` with `--smoke`):
+//!
+//! | Bench | Module | Command |
+//! |---|---|---|
+//! | Campaign throughput (atoms/shapes/snapshots) | [`campaign_bench`] | `bench campaign` |
+//! | Chaos-mode campaign (fault plane + recovery) | [`chaos_bench`] | `bench chaos` |
+//! | Interaction fast path | [`interaction_bench`] | `bench interaction` |
+//! | Layered page model | [`web_bench`] | `bench web` |
+//! | Lint throughput | [`lint_bench`] | `bench lint` |
+//! | Core scaling (lazy shards + claiming workers) | [`parallel_bench`] | `bench parallel` |
+//! | Measurement-loss reliability | [`reliability_bench`] | `bench reliability` |
 
 pub mod ablations;
 pub mod appendix_d;
@@ -23,6 +38,7 @@ pub mod chaos_bench;
 pub mod fieldstudy;
 pub mod figure3;
 pub mod figures;
+pub mod harness;
 pub mod interaction_bench;
 pub mod lint_bench;
 pub mod lintreport;

@@ -17,10 +17,10 @@
 //!    (expected well above 1 — the parse buys precision, and the
 //!    differential suite keeps both sides honest).
 //!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read.
 
+use crate::harness::{timed, Object, Report};
 use hlisa_lint::{
     analyze_file, analyze_source, exemptions_for, find_workspace_root, workspace_files,
     AstAnalysis, Exemptions, RulePasses,
@@ -80,6 +80,14 @@ pub struct BenchReport {
     pub scanner: Phase,
 }
 
+impl Phase {
+    fn section(&self) -> Object {
+        Object::new()
+            .num("seconds_per_sweep", self.seconds_per_sweep)
+            .num("lines_per_s", self.lines_per_s)
+    }
+}
+
 impl BenchReport {
     /// AST end-to-end cost per line over the token scanner's.
     pub fn ast_cost_ratio(&self) -> f64 {
@@ -90,12 +98,6 @@ impl BenchReport {
     pub fn analyze_share(&self) -> f64 {
         self.analyze.seconds_per_sweep / self.total.seconds_per_sweep.max(1e-12)
     }
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 fn phase(total: Duration, iters: u32, lines: u64) -> Phase {
@@ -190,84 +192,30 @@ pub fn run(config: BenchConfig) -> BenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn phase_json(p: &Phase) -> String {
-    format!(
-        "{{\"seconds_per_sweep\": {}, \"lines_per_s\": {}}}",
-        json_num(p.seconds_per_sweep),
-        json_num(p.lines_per_s),
-    )
-}
-
 impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is flat).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa-lint AST analysis over the workspace\",\n",
-                "  \"config\": {{\"iters\": {}}},\n",
-                "  \"files\": {},\n",
-                "  \"lines\": {},\n",
-                "  \"findings\": {},\n",
-                "  \"parse\": {},\n",
-                "  \"analyze\": {},\n",
-                "  \"total\": {},\n",
-                "  \"token_scanner\": {},\n",
-                "  \"ast_cost_ratio\": {},\n",
-                "  \"analyze_share\": {}\n",
-                "}}\n"
-            ),
-            self.config.iters,
-            self.files,
-            self.lines,
-            self.findings,
-            phase_json(&self.parse),
-            phase_json(&self.analyze),
-            phase_json(&self.total),
-            phase_json(&self.scanner),
-            json_num(self.ast_cost_ratio()),
-            json_num(self.analyze_share()),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, p: &Phase| {
-            format!(
-                "{label:<14} {:>10.1} ms/sweep   {:>12.0} lines/s\n",
-                p.seconds_per_sweep * 1e3,
-                p.lines_per_s
+    /// The report, field by field, as `BENCH_lint.json` lays it out.
+    pub fn fields(&self) -> Report {
+        Report::new("hlisa-lint AST analysis over the workspace")
+            .object(
+                "config",
+                Object::new().int("iters", self.config.iters.into()),
             )
-        };
-        let mut out = format!(
-            "lint throughput over {} files / {} lines ({} findings per sweep)\n",
-            self.files, self.lines, self.findings
-        );
-        out.push_str(&row("parse", &self.parse));
-        out.push_str(&row("analyze", &self.analyze));
-        out.push_str(&row("ast total", &self.total));
-        out.push_str(&row("token scanner", &self.scanner));
-        out.push_str(&format!(
-            "ast/scanner cost ratio {:.1}x, {:.0}% of the AST pass is past the parser\n",
-            self.ast_cost_ratio(),
-            self.analyze_share() * 100.0
-        ));
-        out
+            .int("files", self.files as u64)
+            .int("lines", self.lines)
+            .int("findings", self.findings as u64)
+            .object("parse", self.parse.section())
+            .object("analyze", self.analyze.section())
+            .object("total", self.total.section())
+            .object("token_scanner", self.scanner.section())
+            .num("ast_cost_ratio", self.ast_cost_ratio())
+            .num("analyze_share", self.analyze_share())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed() {
@@ -277,17 +225,6 @@ mod tests {
         // The workspace gate holds, so a sweep with the real exemptions
         // finds nothing.
         assert_eq!(report.findings, 0);
-        let json = report.to_json();
-        for field in [
-            "\"parse\"",
-            "\"analyze\"",
-            "\"total\"",
-            "\"token_scanner\"",
-            "\"ast_cost_ratio\"",
-            "\"lines_per_s\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        assert!(report.render_human().contains("lint throughput"));
+        schema::assert_matches_baseline(&report.fields(), "lint", &[]);
     }
 }

@@ -22,18 +22,16 @@
 //! the benchmark doubles as a scale check of the bit-identical-for-any-
 //! `instances` property on a population far larger than the test suite's.
 //!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply. The
-//! residency high-water mark is a measurement too: it records how much
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read. The residency high-water mark is a measurement too: it records how much
 //! thread overlap the OS actually scheduled, so like elapsed time it can
 //! vary run to run — only its bound (`peak <= workers`) is guaranteed.
 
+use crate::harness::{timed, Object, Report};
 use hlisa_crawler::campaign::{
     run_machine, run_machine_planned, run_machine_shard_summaries, CampaignConfig,
 };
 use hlisa_web::{generate_population, sites_bytes, ClientKind, PopulationConfig, PopulationShards};
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone)]
@@ -177,12 +175,6 @@ pub struct ParallelBenchReport {
     pub batch_plan: PlanThroughput,
 }
 
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
-}
-
 fn campaign_config(bench: &ParallelBenchConfig, instances: usize) -> CampaignConfig {
     CampaignConfig {
         seed: 42,
@@ -316,129 +308,71 @@ pub fn run(mut config: ParallelBenchConfig) -> ParallelBenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl ParallelBenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is one flat object plus a sweep array).
-    pub fn to_json(&self) -> String {
-        let sweep_rows: Vec<String> = self
+    /// The report, field by field, as `BENCH_parallel.json` lays it out.
+    pub fn fields(&self) -> Report {
+        let sweep = self
             .sweep
             .iter()
             .map(|e| {
-                format!(
-                    concat!(
-                        "    {{\"instances\": {}, \"elapsed_s\": {}, ",
-                        "\"visits_per_sec\": {}, \"speedup_vs_1\": {}, ",
-                        "\"efficiency\": {}, \"efficiency_at_cores\": {}, ",
-                        "\"peak_resident_shards\": {}, \"peak_materialised_bytes\": {}}}"
-                    ),
-                    e.instances,
-                    json_num(e.elapsed_s),
-                    json_num(e.visits_per_sec),
-                    json_num(e.speedup_vs_1),
-                    json_num(e.efficiency),
-                    json_num(e.efficiency_at_cores),
-                    e.peak_resident_shards,
-                    e.peak_materialised_bytes,
-                )
+                Object::new()
+                    .int("instances", e.instances as u64)
+                    .num("elapsed_s", e.elapsed_s)
+                    .num("visits_per_sec", e.visits_per_sec)
+                    .num("speedup_vs_1", e.speedup_vs_1)
+                    .num("efficiency", e.efficiency)
+                    .num("efficiency_at_cores", e.efficiency_at_cores)
+                    .int("peak_resident_shards", e.peak_resident_shards as u64)
+                    .int("peak_materialised_bytes", e.peak_materialised_bytes as u64)
             })
             .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa parallel campaign scaling (lazy shards + claiming workers)\",\n",
-                "  \"config\": {{\"n_sites\": {}, \"visits_per_site\": {}, \"shard_size\": {}}},\n",
-                "  \"cores\": {},\n",
-                "  \"population\": {{\"eager_bytes\": {}, \"shard_bookkeeping_bytes\": {}, ",
-                "\"eager_generation_s\": {}, \"shard_setup_s\": {}}},\n",
-                "  \"sweep\": [\n{}\n  ],\n",
-                "  \"parallel_efficiency_at_max_cores\": {},\n",
-                "  \"batch_plan\": {{\"visits\": {}, \"plan_off_s\": {}, \"plan_on_s\": {}, ",
-                "\"plan_off_visits_per_sec\": {}, \"plan_on_visits_per_sec\": {}, ",
-                "\"throughput_ratio\": {}, \"actions\": {}, \"samples\": {}, ",
-                "\"keys\": {}, \"ticks\": {}}}\n",
-                "}}\n"
-            ),
-            self.config.n_sites,
-            self.config.visits_per_site,
-            self.config.shard_size,
-            self.cores,
-            self.eager_population_bytes,
-            self.shard_bookkeeping_bytes,
-            json_num(self.eager_generation_s),
-            json_num(self.shard_setup_s),
-            sweep_rows.join(",\n"),
-            json_num(self.efficiency_at_max_cores),
-            self.batch_plan.visits,
-            json_num(self.batch_plan.off_s),
-            json_num(self.batch_plan.on_s),
-            json_num(self.batch_plan.off_rate()),
-            json_num(self.batch_plan.on_rate()),
-            json_num(self.batch_plan.throughput_ratio()),
-            self.batch_plan.actions,
-            self.batch_plan.samples,
-            self.batch_plan.keys,
-            self.batch_plan.ticks,
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let mut out = format!(
-            concat!(
-                "parallel campaign scaling ({} sites, shard {}, {} core(s))\n",
-                "population: eager {} KiB pinned vs {} KiB shard bookkeeping\n"
-            ),
-            self.config.n_sites,
-            self.config.shard_size,
-            self.cores,
-            self.eager_population_bytes / 1024,
-            self.shard_bookkeeping_bytes / 1024,
-        );
-        for e in &self.sweep {
-            out.push_str(&format!(
-                concat!(
-                    "  instances {:>3}: {:>10.0} visits/s  speedup {:>5.2}x  ",
-                    "eff {:>5.2}  eff@cores {:>5.2}  peak {} shard(s) ({} KiB)\n"
-                ),
-                e.instances,
-                e.visits_per_sec,
-                e.speedup_vs_1,
-                e.efficiency,
-                e.efficiency_at_cores,
-                e.peak_resident_shards,
-                e.peak_materialised_bytes / 1024,
-            ));
-        }
-        out.push_str(&format!(
-            "efficiency at max cores: {:.2}\n",
-            self.efficiency_at_max_cores
-        ));
-        out.push_str(&format!(
-            concat!(
-                "batch planner: {:.0} visits/s off -> {:.0} visits/s on ",
-                "({:.0}% retained; {} actions, {} samples planned)\n"
-            ),
-            self.batch_plan.off_rate(),
-            self.batch_plan.on_rate(),
-            self.batch_plan.throughput_ratio() * 100.0,
-            self.batch_plan.actions,
-            self.batch_plan.samples,
-        ));
-        out
+        let plan = &self.batch_plan;
+        Report::new("hlisa parallel campaign scaling (lazy shards + claiming workers)")
+            .object(
+                "config",
+                Object::new()
+                    .int("n_sites", self.config.n_sites as u64)
+                    .int("visits_per_site", self.config.visits_per_site as u64)
+                    .int("shard_size", self.config.shard_size as u64),
+            )
+            .int("cores", self.cores as u64)
+            .object(
+                "population",
+                Object::new()
+                    .int("eager_bytes", self.eager_population_bytes as u64)
+                    .int(
+                        "shard_bookkeeping_bytes",
+                        self.shard_bookkeeping_bytes as u64,
+                    )
+                    .num("eager_generation_s", self.eager_generation_s)
+                    .num("shard_setup_s", self.shard_setup_s),
+            )
+            .rows("sweep", sweep)
+            .num(
+                "parallel_efficiency_at_max_cores",
+                self.efficiency_at_max_cores,
+            )
+            .object(
+                "batch_plan",
+                Object::new()
+                    .int("visits", plan.visits)
+                    .num("plan_off_s", plan.off_s)
+                    .num("plan_on_s", plan.on_s)
+                    .num("plan_off_visits_per_sec", plan.off_rate())
+                    .num("plan_on_visits_per_sec", plan.on_rate())
+                    .num("throughput_ratio", plan.throughput_ratio())
+                    .int("actions", plan.actions)
+                    .int("samples", plan.samples)
+                    .int("keys", plan.keys)
+                    .int("ticks", plan.ticks),
+            )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed_and_efficient_at_max_cores() {
@@ -470,19 +404,6 @@ mod tests {
         // The planner drove real visits and synthesised real interaction.
         assert!(report.batch_plan.actions > 0);
         assert!(report.batch_plan.samples > report.batch_plan.actions);
-        let json = report.to_json();
-        for field in [
-            "\"sweep\"",
-            "\"parallel_efficiency_at_max_cores\"",
-            "\"peak_resident_shards\"",
-            "\"eager_bytes\"",
-            "\"batch_plan\"",
-            "\"throughput_ratio\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        let human = report.render_human();
-        assert!(human.contains("efficiency at max cores"));
-        assert!(human.contains("batch planner"));
+        schema::assert_matches_baseline(&report.fields(), "parallel", &[]);
     }
 }

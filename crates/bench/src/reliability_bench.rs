@@ -13,10 +13,10 @@
 //!    outputs are asserted bit-identical (the PR's key invariant), so
 //!    the comparison isolates the pure cost of write-ahead buffering.
 //!
-//! Timing reads the wall clock on purpose, like the other benches: the
-//! numbers feed a JSON report, never a simulated observable.
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read.
 
-use crate::campaign_bench::Comparison;
+use crate::harness::{timed, Comparison, Object, Report};
 use hlisa_crawler::campaign::CampaignConfig;
 use hlisa_crawler::reliability::{drift_report, run_captured_campaign, CaptureMode};
 use hlisa_sim::LossPlan;
@@ -90,12 +90,6 @@ pub struct ReliabilityBenchReport {
     pub strengthened_overhead: Comparison,
     /// Events the write-ahead buffer replayed across attach barriers.
     pub events_replayed: u64,
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 /// Timed repetitions per capture mode. A full campaign is milliseconds
@@ -193,98 +187,50 @@ pub fn run(config: ReliabilityBenchConfig) -> ReliabilityBenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl ReliabilityBenchReport {
-    /// Elapsed-time ratio of strengthened over pristine capture.
-    pub fn overhead_ratio(&self) -> f64 {
-        self.strengthened_overhead.optimized_s / self.strengthened_overhead.baseline_s.max(1e-12)
-    }
-
-    /// Serializes the report (hand-rolled, like the other benches: the
-    /// workspace vendors no JSON writer).
-    pub fn to_json(&self) -> String {
-        let curve: Vec<String> = self
+    /// The report, field by field, as `BENCH_reliability.json` lays it
+    /// out.
+    pub fn fields(&self) -> Report {
+        let curve = self
             .curve
             .iter()
             .map(|p| {
-                format!(
-                    concat!(
-                        "{{\"rate\": {}, \"naive_max_rel_error\": {}, ",
-                        "\"naive_mean_rel_error\": {}, \"conclusion_flips\": {}, ",
-                        "\"events_dropped\": {}, \"events_offered\": {}}}"
-                    ),
-                    json_num(p.rate),
-                    json_num(p.naive_max_rel_error),
-                    json_num(p.naive_mean_rel_error),
-                    p.conclusion_flips,
-                    p.events_dropped,
-                    p.events_offered,
-                )
+                Object::new()
+                    .num("rate", p.rate)
+                    .num("naive_max_rel_error", p.naive_max_rel_error)
+                    .num("naive_mean_rel_error", p.naive_mean_rel_error)
+                    .int("conclusion_flips", p.conclusion_flips as u64)
+                    .int("events_dropped", p.events_dropped)
+                    .int("events_offered", p.events_offered)
             })
             .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa measurement-loss reliability study\",\n",
-                "  \"config\": {{\"campaign_sites\": {}, \"visits_per_site\": {}}},\n",
-                "  \"campaign_visits\": {},\n",
-                "  \"drift_curve\": [\n    {}\n  ],\n",
-                "  \"strengthened\": {{\"rate\": {}, \"bit_identical_to_pristine\": true, ",
-                "\"events_replayed\": {}, \"ops\": {}, \"unit\": \"visits\", ",
-                "\"pristine_s\": {}, \"strengthened_s\": {}, \"pristine_per_sec\": {}, ",
-                "\"strengthened_per_sec\": {}, \"overhead_ratio\": {}}}\n",
-                "}}\n"
-            ),
-            self.config.campaign_sites,
-            self.config.visits_per_site,
-            self.campaign_visits,
-            curve.join(",\n    "),
-            json_num(self.strengthened_rate),
-            self.events_replayed,
-            self.strengthened_overhead.ops,
-            json_num(self.strengthened_overhead.baseline_s),
-            json_num(self.strengthened_overhead.optimized_s),
-            json_num(self.strengthened_overhead.baseline_rate()),
-            json_num(self.strengthened_overhead.optimized_rate()),
-            json_num(self.overhead_ratio()),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let mut out = String::from("measurement-loss reliability benchmark\n");
-        out.push_str("rate    max err   mean err  flips  dropped/offered\n");
-        for p in &self.curve {
-            out.push_str(&format!(
-                "{:<7.2} {:<9.4} {:<9.4} {:<6} {}/{}\n",
-                p.rate,
-                p.naive_max_rel_error,
-                p.naive_mean_rel_error,
-                p.conclusion_flips,
-                p.events_dropped,
-                p.events_offered,
-            ));
-        }
-        out.push_str(&format!(
-            "strengthened @ {:.2}  bit-identical, {} events replayed, x{:.2} overhead\n",
-            self.strengthened_rate,
-            self.events_replayed,
-            self.overhead_ratio(),
-        ));
-        out
+        let overhead = &self.strengthened_overhead;
+        Report::new("hlisa measurement-loss reliability study")
+            .object(
+                "config",
+                Object::new()
+                    .int("campaign_sites", self.config.campaign_sites as u64)
+                    .int("visits_per_site", self.config.visits_per_site as u64),
+            )
+            .int("campaign_visits", self.campaign_visits)
+            .rows("drift_curve", curve)
+            .object(
+                "strengthened",
+                Object::new()
+                    .num("rate", self.strengthened_rate)
+                    // `run` asserts it before reporting.
+                    .bool("bit_identical_to_pristine", true)
+                    .int("events_replayed", self.events_replayed)
+                    .append(overhead.sides("visits", "pristine", "strengthened"))
+                    .num("overhead_ratio", overhead.overhead_ratio()),
+            )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed() {
@@ -298,16 +244,6 @@ mod tests {
         let harsh = report.curve.last().unwrap();
         assert!(harsh.events_dropped > 0, "harshest point must drop events");
         assert!(report.events_replayed > 0);
-        let json = report.to_json();
-        for field in [
-            "\"drift_curve\"",
-            "\"strengthened\"",
-            "\"overhead_ratio\"",
-            "\"bit_identical_to_pristine\": true",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        let human = report.render_human();
-        assert!(human.contains("strengthened @"));
+        schema::assert_matches_baseline(&report.fields(), "reliability", &[]);
     }
 }

@@ -17,18 +17,16 @@
 //!    per operation) vs one [`DocumentMutator`] batch that reflows once
 //!    at the end, over SPA-style detach/restyle bursts.
 //!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
+//! Timing goes through [`crate::harness`], the crate's one wall-clock
+//! read.
 
-pub use crate::campaign_bench::Comparison;
+use crate::harness::{timed, Comparison, Object, Report};
 use hlisa_browser::{Display, Document, Point};
 use hlisa_sim::SimContext;
 use hlisa_web::dynamics::{apply_scenario, ScenarioKind};
 use hlisa_web::page::{generate_page, GeneratedPage, PageStructure};
 use hlisa_web::Site;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
@@ -88,12 +86,6 @@ impl BenchReport {
     pub fn gen_rate(&self) -> f64 {
         self.gen_pages as f64 / self.gen_s.max(1e-12)
     }
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 fn bench_site(i: usize) -> Site {
@@ -275,86 +267,37 @@ pub fn run(config: BenchConfig) -> BenchReport {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn comparison_json(c: &Comparison, unit: &str) -> String {
-    format!(
-        concat!(
-            "{{\"ops\": {}, \"unit\": \"{}\", \"baseline_s\": {}, \"optimized_s\": {}, ",
-            "\"baseline_per_sec\": {}, \"optimized_per_sec\": {}, \"speedup\": {}}}"
-        ),
-        c.ops,
-        unit,
-        json_num(c.baseline_s),
-        json_num(c.optimized_s),
-        json_num(c.baseline_rate()),
-        json_num(c.optimized_rate()),
-        json_num(c.speedup()),
-    )
-}
-
 impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is flat).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa layered page model (generation/hit test/mutation)\",\n",
-                "  \"config\": {{\"pages\": {}, \"hit_passes\": {}, ",
-                "\"mutate_bursts\": {}, \"muts_per_burst\": {}}},\n",
-                "  \"corpus_nodes\": {},\n",
-                "  \"page_generation\": {{\"ops\": {}, \"unit\": \"pages\", ",
-                "\"seconds\": {}, \"per_sec\": {}}},\n",
-                "  \"layered_hit_test\": {},\n",
-                "  \"dom_mutation\": {}\n",
-                "}}\n"
-            ),
-            self.config.pages,
-            self.config.hit_passes,
-            self.config.mutate_bursts,
-            self.config.muts_per_burst,
-            self.corpus_nodes,
-            self.gen_pages,
-            json_num(self.gen_s),
-            json_num(self.gen_rate()),
-            comparison_json(&self.hit_test, "probes"),
-            comparison_json(&self.mutation, "changes"),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, c: &Comparison| {
-            format!(
-                "{label:<18} {:>12.0}/s -> {:>12.0}/s   ({:.1}x)\n",
-                c.baseline_rate(),
-                c.optimized_rate(),
-                c.speedup()
+    /// The report, field by field, as `BENCH_web.json` lays it out.
+    pub fn fields(&self) -> Report {
+        let c = &self.config;
+        Report::new("hlisa layered page model (generation/hit test/mutation)")
+            .object(
+                "config",
+                Object::new()
+                    .int("pages", c.pages as u64)
+                    .int("hit_passes", c.hit_passes.into())
+                    .int("mutate_bursts", c.mutate_bursts.into())
+                    .int("muts_per_burst", c.muts_per_burst as u64),
             )
-        };
-        let mut out = String::from("layered page-model benchmark (baseline -> optimized)\n");
-        out.push_str(&format!(
-            "{:<18} {:>12.0} pages/s ({} nodes built)\n",
-            "page generation",
-            self.gen_rate(),
-            self.corpus_nodes
-        ));
-        out.push_str(&row("layered hit test", &self.hit_test));
-        out.push_str(&row("dom mutation", &self.mutation));
-        out
+            .int("corpus_nodes", self.corpus_nodes)
+            .object(
+                "page_generation",
+                Object::new()
+                    .int("ops", self.gen_pages)
+                    .str("unit", "pages")
+                    .num("seconds", self.gen_s)
+                    .num("per_sec", self.gen_rate()),
+            )
+            .object("layered_hit_test", self.hit_test.section("probes"))
+            .object("dom_mutation", self.mutation.section("changes"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::schema;
 
     #[test]
     fn smoke_report_is_well_formed() {
@@ -366,17 +309,7 @@ mod tests {
         };
         let report = run(cfg);
         assert!(report.corpus_nodes > 100, "{} nodes", report.corpus_nodes);
-        let json = report.to_json();
-        for field in [
-            "\"page_generation\"",
-            "\"layered_hit_test\"",
-            "\"dom_mutation\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        let human = report.render_human();
-        assert!(human.contains("layered hit test"));
+        schema::assert_matches_baseline(&report.fields(), "web", &[]);
     }
 
     #[test]

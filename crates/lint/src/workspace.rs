@@ -44,12 +44,12 @@ const UNORDERED_INTERIOR_SITES: &[&str] =
 /// crawl worker.
 const PANIC_SANCTIONED_PREFIXES: &[&str] = &["crates/bench/src/"];
 
-/// Path prefixes sanctioned to read the wall clock (`no-wall-clock`
-/// exempt): the offline bench harnesses, whose entire job is measuring
-/// real elapsed time. Their readings are reporting artifacts
-/// (`BENCH_*.json` timings), never simulation inputs, so they cannot
-/// perturb a measurement.
-const WALL_CLOCK_SANCTIONED_PREFIXES: &[&str] = &["crates/bench/src/"];
+/// The one file sanctioned to read the wall clock (`no-wall-clock`
+/// exempt): the offline bench harness, whose `timed` is every bench's
+/// only clock. Its readings are reporting artifacts (`BENCH_*.json`
+/// timings), never simulation inputs, so they cannot perturb a
+/// measurement.
+const WALL_CLOCK_SANCTIONED_SITE: &str = "crates/bench/src/harness.rs";
 
 /// The one file allowed to name `rng_from_seed` (`no-rng-from-seed`
 /// exempt): its definition site. Callers elsewhere still need a
@@ -64,9 +64,7 @@ pub fn exemptions_for(rel: &str) -> Exemptions {
         min_move: rel == MIN_MOVE_DEFINITION_SITE,
         unordered: UNORDERED_INTERIOR_SITES.contains(&rel),
         panics: PANIC_SANCTIONED_PREFIXES.iter().any(|p| rel.starts_with(p)),
-        wall_clock: WALL_CLOCK_SANCTIONED_PREFIXES
-            .iter()
-            .any(|p| rel.starts_with(p)),
+        wall_clock: rel == WALL_CLOCK_SANCTIONED_SITE,
         rng_def: rel == RNG_DEFINITION_SITE,
     }
 }
@@ -103,7 +101,7 @@ fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Every `.rs` file the walker covers, as (workspace-relative path,
 /// absolute path, passes) — crate sources plus the shared `tests/` tree.
-/// Shared with [`crate::ledger`] and the `bench_lint` harness so both
+/// Shared with [`crate::ledger`] and the lint-throughput bench so both
 /// cover exactly the linted file set.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePasses)>> {
     let audit_only = RulePasses {
@@ -194,7 +192,8 @@ mod tests {
         assert!(exemptions_for("crates/webdriver/src/actions.rs").min_move);
         assert!(exemptions_for("crates/jsom/src/atom.rs").unordered);
         assert!(exemptions_for("crates/bench/src/web_bench.rs").panics);
-        assert!(exemptions_for("crates/bench/src/web_bench.rs").wall_clock);
+        assert!(!exemptions_for("crates/bench/src/web_bench.rs").wall_clock);
+        assert!(exemptions_for("crates/bench/src/harness.rs").wall_clock);
         assert!(exemptions_for("crates/stats/src/rngutil.rs").rng_def);
         let plain = exemptions_for("crates/core/src/motion.rs");
         assert!(!plain.min_move && !plain.unordered && !plain.panics);
